@@ -1,0 +1,566 @@
+"""Command-line front door: detect, eval, compare, stages, bench, synth."""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import json
+import logging
+import os
+import sys
+import time
+from dataclasses import dataclass, field, fields as dataclass_fields
+from pathlib import Path
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .baseline import PtConfig
+from .detector import DetectorConfig
+from .errors import ConfigError, ParseError, PtppError
+from .evaluation import SynthSpec, match_beats, metrics, synth_ecg, time_detector
+from .io import (AnnotationSet, Record, load_annotations, load_csv,
+                 load_wfdb_record, save_annotations, save_csv)
+from .pipeline import PipelineConfig, run_pipeline
+from .runner import DETECTORS, default_pipeline_config, run_detector
+
+log = logging.getLogger("ptpp")
+
+DATA_ROOT_ENV = "PTPP_DATA_ROOT"
+POOLED_ROW_ID = "ALL"
+
+METRICS_HEADER = ["detector", "dataset", "record", "tp", "fp", "fn",
+                  "ppv", "sensitivity", "f_score", "exec_time_s"]
+DETECTIONS_HEADER = ["sample_index", "time_s", "provenance"]
+STAGES_HEADER = ["sample_index", "raw", "filtered", "derived", "squared",
+                 "smoothed", "integrated"]
+
+_PREFERRED_LABELS = ("mlii", "ii")
+
+_SECTION_DEFAULTS = {
+    "pipeline": PipelineConfig,
+    "detector": DetectorConfig,
+    "pt": PtConfig,
+}
+_EVAL_KEYS = {"tolerance_ms", "dataset", "fs"}
+
+
+@dataclass
+class RunConfig:
+    """Everything one invocation needs, after flag parsing."""
+
+    command: str
+    records: list[str] = field(default_factory=list)
+    annotations: list[str] = field(default_factory=list)
+    channel: Optional[str] = None
+    detector: str = "ptpp"
+    tolerance_ms: Optional[float] = None
+    output: Optional[str] = None
+    disagreements: Optional[str] = None
+    config_file: Optional[str] = None
+    overrides: list[str] = field(default_factory=list)
+    fs: Optional[float] = None
+    dataset: Optional[str] = None
+    repeats: int = 5
+    spec_file: Optional[str] = None
+
+
+# --------------------------------------------------------------------------
+# config file handling
+
+def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
+    """Flat ``section.key = value`` lines; '#' comments and blanks ignored."""
+    pairs: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
+        pairs[key.strip()] = value.strip()
+    return pairs
+
+
+def format_config(pairs: dict[str, str]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in sorted(pairs.items()))
+
+
+def _check_pairs(pairs: dict[str, str]) -> None:
+    for full_key in pairs:
+        section, _, key = full_key.partition(".")
+        if section == "eval":
+            if key not in _EVAL_KEYS:
+                raise ConfigError(
+                    f"unknown config key '{full_key}' "
+                    f"(eval accepts: {sorted(_EVAL_KEYS)})")
+        elif section in _SECTION_DEFAULTS:
+            known = {f.name for f in dataclass_fields(_SECTION_DEFAULTS[section])}
+            if key not in known:
+                raise ConfigError(
+                    f"unknown config key '{full_key}' "
+                    f"({section} accepts: {sorted(known)})")
+        else:
+            raise ConfigError(
+                f"unknown config section in '{full_key}' "
+                f"(expected one of: pipeline, detector, pt, eval)")
+
+
+def _coerce_like(default_value, text: str, full_key: str):
+    try:
+        if isinstance(default_value, bool):
+            low = text.lower()
+            if low in ("true", "1", "yes", "on"):
+                return True
+            if low in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(text)
+        if isinstance(default_value, int):
+            return int(text)
+        if isinstance(default_value, float):
+            return float(text)
+        return text
+    except ValueError as exc:
+        raise ConfigError(f"bad value for '{full_key}': {text!r}") from exc
+
+
+def _apply_section(cfg, section: str, pairs: dict[str, str]):
+    for full_key, raw in pairs.items():
+        head, _, key = full_key.partition(".")
+        if head != section:
+            continue
+        setattr(cfg, key, _coerce_like(getattr(cfg, key), raw, full_key))
+    return cfg
+
+
+def gather_overrides(config: RunConfig) -> dict[str, str]:
+    """File pairs first, then --set pairs on top."""
+    pairs: dict[str, str] = {}
+    if config.config_file:
+        path = _resolve_input(config.config_file)
+        pairs.update(parse_config_text(path.read_text(encoding="utf-8"),
+                                       source=str(path)))
+    for item in config.overrides:
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip():
+            raise ConfigError(f"--set expects key=value, got {item!r}")
+        pairs[key.strip()] = value.strip()
+    _check_pairs(pairs)
+    return pairs
+
+
+def _eval_opt(pairs: dict[str, str], key: str, cli_value, default, cast):
+    if cli_value is not None:
+        return cli_value
+    raw = pairs.get(f"eval.{key}")
+    if raw is None:
+        return default
+    return _coerce_like(cast(0) if cast is not str else "", raw, f"eval.{key}")
+
+
+# --------------------------------------------------------------------------
+# input plumbing
+
+def _resolve_input(path_str: str) -> Path:
+    path = Path(path_str)
+    if path.exists():
+        return path
+    root = os.environ.get(DATA_ROOT_ENV)
+    if root:
+        candidate = Path(root) / path_str
+        if candidate.exists():
+            return candidate
+    hint = f" (also tried under ${DATA_ROOT_ENV})" if root else ""
+    raise ConfigError(f"input file not found: {path_str}{hint}")
+
+
+def _load_record(path: Path, fs_hint: float) -> Record:
+    suffix = path.suffix.lower()
+    if suffix == ".hea":
+        return load_wfdb_record(path)
+    if suffix in (".csv", ".txt"):
+        return load_csv(path, sampling_rate_hz=fs_hint)
+    raise ParseError(f"cannot infer record format from '{path.name}' "
+                     "(expected .hea, .csv or .txt)")
+
+
+def resolve_channel(record: Record, selector: Optional[str]) -> int:
+    labels = record.channel_labels()
+    if selector is None:
+        lowered = [lab.lower() for lab in labels]
+        for preferred in _PREFERRED_LABELS:
+            if preferred in lowered:
+                return lowered.index(preferred)
+        if len(labels) > 1:
+            log.warning("no channel given and no conventional lead label "
+                        "found; using channel 0 (%s)", labels[0])
+        return 0
+    stripped = selector.strip()
+    if stripped.lstrip("-").isdigit():
+        index = int(stripped)
+        if 0 <= index < len(labels):
+            return index
+        raise ConfigError(f"channel index {index} out of range; "
+                          f"record has channels {labels}")
+    lowered = stripped.lower()
+    for i, lab in enumerate(labels):
+        if lab.lower() == lowered:
+            return i
+    raise ConfigError(f"unknown channel label '{selector}'; "
+                      f"available: {labels}")
+
+
+def _annotation_paths(config: RunConfig) -> list[Path]:
+    if config.annotations:
+        if len(config.annotations) != len(config.records):
+            raise ConfigError(
+                f"got {len(config.records)} record(s) but "
+                f"{len(config.annotations)} annotation file(s)")
+        return [_resolve_input(a) for a in config.annotations]
+    derived = []
+    for rec in config.records:
+        base = Path(rec)
+        found = None
+        for suffix in (".atr", ".ann", ".txt"):
+            try:
+                found = _resolve_input(str(base.with_suffix(suffix)))
+                break
+            except ConfigError:
+                continue
+        if found is None:
+            raise ConfigError(
+                f"no annotation file found next to '{rec}' "
+                "(looked for .atr/.ann/.txt); pass --annotations explicitly")
+        derived.append(found)
+    return derived
+
+
+# --------------------------------------------------------------------------
+# output helpers
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _fmt_ratio(value: Optional[float]) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _metrics_row(detector: str, dataset: str, record_id: str, tp: int, fp: int,
+                 fn: int, m, exec_time_s: float) -> list:
+    return [detector, dataset, record_id, tp, fp, fn,
+            _fmt_ratio(m.ppv), _fmt_ratio(m.sensitivity),
+            _fmt_ratio(m.f_score), f"{exec_time_s:.4f}"]
+
+
+def _default_output(config: RunConfig, fallback: str) -> Path:
+    if config.output:
+        return Path(config.output)
+    return Path(fallback)
+
+
+# --------------------------------------------------------------------------
+# commands
+
+def _configs_for(detector: str, pairs: dict[str, str]):
+    pipeline_cfg = _apply_section(default_pipeline_config(detector),
+                                  "pipeline", pairs)
+    detector_cfg = _apply_section(DetectorConfig(), "detector", pairs)
+    pt_cfg = _apply_section(PtConfig(), "pt", pairs)
+    detector_cfg.validate()
+    pt_cfg.validate()
+    return pipeline_cfg, detector_cfg, pt_cfg
+
+
+def _run_on_record(detector: str, record: Record, channel: int,
+                   pairs: dict[str, str]):
+    pipeline_cfg, detector_cfg, pt_cfg = _configs_for(detector, pairs)
+    samples = record.channels[channel].samples
+    started = time.perf_counter()
+    run = run_detector(detector, samples, record.sampling_rate_hz,
+                       pipeline_cfg=pipeline_cfg, detector_cfg=detector_cfg,
+                       pt_cfg=pt_cfg)
+    return run, time.perf_counter() - started
+
+
+def _cmd_detect(config: RunConfig, pairs: dict[str, str]) -> int:
+    record_path = _resolve_input(config.records[0])
+    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
+    record = _load_record(record_path, fs_hint)
+    channel = resolve_channel(record, config.channel)
+    run, _ = _run_on_record(config.detector, record, channel, pairs)
+    fs = record.sampling_rate_hz
+    rows = []
+    for raw_index, tag in zip(run.r_peaks, run.detection.provenance):
+        rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
+    out = _default_output(config, f"{record_path.stem}.detections.csv")
+    _write_csv(out, DETECTIONS_HEADER, rows)
+    print(f"{len(rows)} detections -> {out}")
+    return 0
+
+
+def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
+    record_path = _resolve_input(config.records[0])
+    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
+    record = _load_record(record_path, fs_hint)
+    channel = resolve_channel(record, config.channel)
+    pipeline_cfg, _, _ = _configs_for(config.detector, pairs)
+    samples = record.channels[channel].samples
+    stages = run_pipeline(samples, record.sampling_rate_hz, pipeline_cfg)
+    rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
+             repr(float(stages.derived[i])), repr(float(stages.squared[i])),
+             repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
+            for i in range(len(samples)))
+    out = _default_output(config, f"{record_path.stem}.stages.csv")
+    _write_csv(out, STAGES_HEADER, rows)
+    print(f"{len(samples)} samples x 6 stages -> {out}")
+    return 0
+
+
+def _evaluate(detectors: Sequence[str], config: RunConfig,
+              pairs: dict[str, str]):
+    """Shared machinery for eval/compare: per-record rows + pooled rows."""
+    tolerance = _eval_opt(pairs, "tolerance_ms", config.tolerance_ms,
+                          100.0, float)
+    dataset = _eval_opt(pairs, "dataset", config.dataset, "local", str)
+    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
+    ann_paths = _annotation_paths(config)
+    rows = []
+    runs_by_detector: dict[str, list] = {d: [] for d in detectors}
+    for detector in detectors:
+        reports, total_time = [], 0.0
+        for rec_str, ann_path in zip(config.records, ann_paths):
+            record_path = _resolve_input(rec_str)
+            record = _load_record(record_path, fs_hint)
+            channel = resolve_channel(record, config.channel)
+            reference = load_annotations(ann_path)
+            run, elapsed = _run_on_record(detector, record, channel, pairs)
+            report = match_beats(run.r_peaks, reference,
+                                 record.sampling_rate_hz, tolerance,
+                                 record_id=record_path.stem)
+            reports.append(report)
+            total_time += elapsed
+            runs_by_detector[detector].append(
+                (record_path.stem, record.sampling_rate_hz, run))
+            single = metrics([report], elapsed)
+            rows.append(_metrics_row(detector, dataset, report.record_id,
+                                     report.tp, report.fp, report.fn,
+                                     single, elapsed))
+        pooled = metrics(reports, total_time)
+        rows.append(_metrics_row(
+            detector, dataset, POOLED_ROW_ID,
+            sum(r.tp for r in reports), sum(r.fp for r in reports),
+            sum(r.fn for r in reports), pooled, total_time))
+    return rows, runs_by_detector, tolerance
+
+
+def _cmd_eval(config: RunConfig, pairs: dict[str, str]) -> int:
+    rows, _, _ = _evaluate([config.detector], config, pairs)
+    out = _default_output(config, "metrics.csv")
+    _write_csv(out, METRICS_HEADER, rows)
+    print(f"{len(rows)} metric rows -> {out}")
+    return 0
+
+
+def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
+    rows, runs, tolerance = _evaluate(list(DETECTORS), config, pairs)
+    out = _default_output(config, "compare_metrics.csv")
+    _write_csv(out, METRICS_HEADER, rows)
+
+    disagreement_rows = []
+    for (rec_id, fs, run_a), (_, _, run_b) in zip(runs["ptpp"], runs["pt"]):
+        other = AnnotationSet(
+            beat_samples=np.asarray(run_b.r_peaks, dtype=np.int64),
+            beat_labels=None, source_format="detections")
+        report = match_beats(run_a.r_peaks, other, fs, tolerance)
+        matched_a = {pair[1] for pair in report.matched_pairs}
+        matched_b = {pair[0] for pair in report.matched_pairs}
+        for idx in run_a.r_peaks:
+            if int(idx) not in matched_a:
+                disagreement_rows.append(
+                    [rec_id, int(idx), repr(float(idx / fs)), "ptpp"])
+        for idx in run_b.r_peaks:
+            if int(idx) not in matched_b:
+                disagreement_rows.append(
+                    [rec_id, int(idx), repr(float(idx / fs)), "pt"])
+    disagreement_rows.sort(key=lambda row: (row[0], row[1]))
+    dis_out = (Path(config.disagreements) if config.disagreements
+               else out.with_name(out.stem + "_disagreements.csv"))
+    _write_csv(dis_out, ["record", "sample_index", "time_s", "present_in"],
+               disagreement_rows)
+    print(f"{len(rows)} metric rows -> {out}; "
+          f"{len(disagreement_rows)} disagreements -> {dis_out}")
+    return 0
+
+
+def _cmd_bench(config: RunConfig, pairs: dict[str, str]) -> int:
+    record_path = _resolve_input(config.records[0])
+    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
+    record = _load_record(record_path, fs_hint)
+    channel = resolve_channel(record, config.channel)
+    rows, medians = [], {}
+    for detector in DETECTORS:
+        pipeline_cfg, detector_cfg, pt_cfg = _configs_for(detector, pairs)
+        cfg = detector_cfg if detector == "ptpp" else pt_cfg
+        median_s = time_detector(detector, record, cfg, channel=channel,
+                                 repeats=config.repeats,
+                                 pipeline_cfg=pipeline_cfg)
+        medians[detector] = median_s
+        rows.append([detector, record_path.stem, record.duration_samples,
+                     repr(record.sampling_rate_hz), f"{median_s:.4f}",
+                     max(5, config.repeats), "serialized-single-thread"])
+    out = _default_output(config, "bench.csv")
+    _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
+                     "median_s", "runs", "note"], rows)
+    ratio = medians["ptpp"] / medians["pt"] if medians["pt"] > 0 else float("inf")
+    print(f"ptpp median {medians['ptpp']:.4f} s, pt median "
+          f"{medians['pt']:.4f} s, ptpp/pt ratio {ratio:.3f} -> {out}")
+    return 0
+
+
+def _cmd_synth(config: RunConfig, pairs: dict[str, str]) -> int:
+    spec_path = _resolve_input(config.spec_file)
+    try:
+        raw = json.loads(spec_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{spec_path}: invalid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{spec_path}: expected a JSON object")
+    if "spike" in raw and raw["spike"] is not None:
+        raw["spike"] = tuple(raw["spike"])
+    spec = SynthSpec.from_dict(raw)
+    record, annotations = synth_ecg(spec)
+    stem = _default_output(config, spec_path.stem)
+    csv_path = stem.with_suffix(".csv")
+    ann_path = stem.with_suffix(".ann")
+    save_csv(record, csv_path)
+    save_annotations(annotations, ann_path)
+    print(f"{len(annotations.beat_samples)} beats, "
+          f"{record.duration_samples} samples at {record.sampling_rate_hz:g} Hz "
+          f"-> {csv_path}, {ann_path}")
+    return 0
+
+
+_COMMANDS = {
+    "detect": _cmd_detect,
+    "eval": _cmd_eval,
+    "compare": _cmd_compare,
+    "stages": _cmd_stages,
+    "bench": _cmd_bench,
+    "synth": _cmd_synth,
+}
+
+
+def run(config: RunConfig) -> int:
+    if config.command not in _COMMANDS:
+        raise ConfigError(f"unknown command '{config.command}'")
+    if config.detector not in DETECTORS:
+        raise ConfigError(f"unknown detector '{config.detector}' "
+                          f"(expected one of {DETECTORS})")
+    pairs = gather_overrides(config)
+    return _COMMANDS[config.command](config, pairs)
+
+
+# --------------------------------------------------------------------------
+# argument parsing
+
+def _add_common(sub: argparse.ArgumentParser, *, record_nargs=None) -> None:
+    if record_nargs:
+        sub.add_argument("records", nargs=record_nargs, metavar="RECORD",
+                         help="record file (.hea for WFDB, .csv/.txt for "
+                              "plain samples)")
+    sub.add_argument("--channel", help="channel label or index "
+                                       "(default: MLII/II if present, else 0)")
+    sub.add_argument("--config", dest="config_file", metavar="FILE",
+                     help="key=value config file")
+    sub.add_argument("--set", dest="overrides", action="append", default=[],
+                     metavar="KEY=VALUE",
+                     help="override one config key (repeatable; wins over "
+                          "--config)")
+    sub.add_argument("--fs", type=float,
+                     help="sampling rate for .csv/.txt records (default 360)")
+    sub.add_argument("--output", "-o", help="output path")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ptpp",
+        description="Pan-Tompkins++ R-peak detection toolkit")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    detect = commands.add_parser("detect", help="write a detection CSV")
+    _add_common(detect, record_nargs=1)
+    detect.add_argument("--detector", choices=DETECTORS, default="ptpp")
+
+    evaluate = commands.add_parser(
+        "eval", help="score detections against annotations")
+    _add_common(evaluate, record_nargs="+")
+    evaluate.add_argument("--detector", choices=DETECTORS, default="ptpp")
+    evaluate.add_argument("--annotations", nargs="*", default=[],
+                          metavar="FILE",
+                          help="annotation files, one per record "
+                               "(default: sibling .atr/.ann/.txt)")
+    evaluate.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
+    evaluate.add_argument("--dataset", help="dataset label for the report")
+
+    compare = commands.add_parser(
+        "compare", help="run both detectors and report side by side")
+    _add_common(compare, record_nargs="+")
+    compare.add_argument("--annotations", nargs="*", default=[],
+                         metavar="FILE")
+    compare.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
+    compare.add_argument("--dataset")
+    compare.add_argument("--disagreements", metavar="FILE",
+                         help="where to write the per-record disagreement "
+                              "list")
+
+    stages = commands.add_parser(
+        "stages", help="dump every pipeline stage for one record")
+    _add_common(stages, record_nargs=1)
+    stages.add_argument("--detector", choices=DETECTORS, default="ptpp")
+
+    bench = commands.add_parser(
+        "bench", help="time both detectors on one record")
+    _add_common(bench, record_nargs=1)
+    bench.add_argument("--repeats", type=int, default=5)
+
+    synth = commands.add_parser(
+        "synth", help="render a synthetic record from a JSON spec")
+    synth.add_argument("spec_file", metavar="SPEC_JSON")
+    synth.add_argument("--config", dest="config_file", help=argparse.SUPPRESS)
+    synth.add_argument("--set", dest="overrides", action="append", default=[],
+                       help=argparse.SUPPRESS)
+    synth.add_argument("--output", "-o",
+                       help="output stem (writes <stem>.csv and <stem>.ann)")
+    return parser
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    known = {f.name for f in dataclass_fields(RunConfig)}
+    values = {k: v for k, v in vars(args).items() if k in known and v is not None}
+    return RunConfig(**values)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                        format="%(levelname)s: %(message)s")
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return run(config_from_args(args))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 3
+    except PtppError as exc:
+        print(f"processing error: {exc}", file=sys.stderr)
+        return 4
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,434 @@
+"""Signal and annotation ingestion.
+
+Supports plain CSV traces, WFDB header/signal pairs (formats 212 and 16)
+and reference beat annotations in either plain-text or MIT binary form.
+All amplitudes are converted to millivolts on load using each channel's
+gain/baseline so downstream stages never see raw ADC counts.
+"""
+
+from __future__ import annotations
+
+import logging
+import math
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
+
+from .errors import ParseError, UnsupportedFormatError
+
+logger = logging.getLogger(__name__)
+
+WFDB_DEFAULT_GAIN = 200.0  # counts per mV when the header omits the gain
+
+# MIT annotation type codes for beat classes, keyed by their display symbol.
+# Everything else in an annotation file (rhythm changes, signal quality notes,
+# waveform boundaries, ...) is not a beat and is dropped on load.
+BEAT_CODE_BY_SYMBOL = {
+    "N": 1, "L": 2, "R": 3, "a": 4, "V": 5, "F": 6, "J": 7, "A": 8,
+    "S": 9, "E": 10, "j": 11, "/": 12, "Q": 13, "B": 25, "e": 34,
+    "n": 35, "x": 37, "f": 38, "r": 41,
+}
+DEFAULT_BEAT_SYMBOLS = frozenset(
+    "N L R B A a J S V r F e j n E / f Q".split()
+)
+# Non-beat codes we recognise and silently skip (as opposed to unknown codes,
+# which are counted and reported).
+_KNOWN_NONBEAT_CODES = {
+    0, 14, 16, 18, 19, 20, 21, 22, 23, 24, 26, 27, 28, 29, 30,
+    31, 32, 33, 36, 37, 39, 40,
+}
+_SKIP, _NUM, _SUB, _CHAN, _AUX = 59, 60, 61, 62, 63
+
+
+class Channel(NamedTuple):
+    label: str
+    samples: np.ndarray  # float64, millivolts
+    gain: float
+    baseline: int
+
+
+@dataclass
+class Record:
+    """A multichannel trace with a single shared sampling rate."""
+
+    sampling_rate_hz: float
+    channels: list[Channel]
+    duration_samples: int
+
+    def channel_labels(self) -> list[str]:
+        return [ch.label for ch in self.channels]
+
+
+class ChannelHeader(NamedTuple):
+    file_name: str
+    format_code: int
+    gain: float
+    baseline: int
+    label: str
+
+
+@dataclass
+class HeaderInfo:
+    record_name: str
+    n_channels: int
+    sampling_rate_hz: float
+    n_samples: int
+    channels: list[ChannelHeader]
+
+
+@dataclass
+class AnnotationSet:
+    """Reference beat locations as sample indices into one record."""
+
+    beat_samples: np.ndarray  # int64, strictly increasing
+    beat_labels: Optional[list[str]]
+    source_format: str
+
+
+def load_csv(path: str | Path, sampling_rate_hz: float) -> Record:
+    """Read a single-channel trace where each line is ``value`` or ``index,value``.
+
+    Raises:
+        ParseError: empty file, malformed line (with its line number) or a
+            non-finite sample value.
+    """
+    path = Path(path)
+    values = []
+    first_content_line = True
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) > 2:
+                raise ParseError(f"{path}: line {lineno}: expected 'value' or "
+                                 f"'index,value', got {line!r}")
+            try:
+                value = float(fields[-1])
+            except ValueError:
+                if first_content_line:  # a column-header row is fine
+                    first_content_line = False
+                    continue
+                raise ParseError(
+                    f"{path}: line {lineno}: not a number: {fields[-1]!r}"
+                ) from None
+            first_content_line = False
+            if not math.isfinite(value):
+                raise ParseError(f"{path}: line {lineno}: non-finite sample")
+            values.append(value)
+    if not values:
+        raise ParseError(f"{path}: no samples found")
+    samples = np.asarray(values, dtype=np.float64)
+    channel = Channel(label="ecg", samples=samples, gain=1.0, baseline=0)
+    return Record(sampling_rate_hz=float(sampling_rate_hz),
+                  channels=[channel], duration_samples=len(samples))
+
+
+_GAIN_RE = re.compile(r"^([-+0-9.eE]+)(?:\(([-+]?\d+)\))?(?:/(\S*))?$")
+
+
+def _parse_signal_line(line: str, lineno: int, source: str) -> ChannelHeader:
+    tokens = line.split()
+    if len(tokens) < 2:
+        raise ParseError(f"{source}: line {lineno}: signal line needs at least "
+                         f"a file name and format code")
+    file_name = tokens[0]
+    fmt_token = tokens[1]
+    if not fmt_token.isdigit():
+        # Samples-per-frame ("212x2"), skew (":") and byte offsets ("+") are
+        # legal in the wild but outside what this reader handles.
+        raise UnsupportedFormatError(
+            f"{source}: line {lineno}: unsupported format spec {fmt_token!r}")
+    format_code = int(fmt_token)
+
+    gain = WFDB_DEFAULT_GAIN
+    explicit_baseline: Optional[int] = None
+    if len(tokens) > 2:
+        m = _GAIN_RE.match(tokens[2])
+        if m is None:
+            raise ParseError(
+                f"{source}: line {lineno}: bad gain field {tokens[2]!r}")
+        gain = float(m.group(1))
+        if m.group(2) is not None:
+            explicit_baseline = int(m.group(2))
+    if gain == 0.0:
+        gain = WFDB_DEFAULT_GAIN
+
+    def _int_field(idx: int, default: int) -> int:
+        if len(tokens) <= idx:
+            return default
+        try:
+            return int(tokens[idx])
+        except ValueError:
+            raise ParseError(f"{source}: line {lineno}: bad integer field "
+                             f"{tokens[idx]!r}") from None
+
+    adc_zero = _int_field(4, 0)
+    baseline = explicit_baseline if explicit_baseline is not None else adc_zero
+    label = " ".join(tokens[8:]) if len(tokens) > 8 else ""
+    return ChannelHeader(file_name=file_name, format_code=format_code,
+                         gain=gain, baseline=baseline, label=label)
+
+
+def parse_wfdb_header(text: str, source: str = "<header>") -> HeaderInfo:
+    """Parse WFDB header text into record metadata plus per-channel fields.
+
+    The first non-comment line must be ``name n_channels fs n_samples``;
+    it is followed by one signal line per channel. ``#`` comment lines and
+    blanks are ignored anywhere.
+    """
+    record_line = None
+    signal_lines: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if record_line is None:
+            record_line = (lineno, line)
+        else:
+            signal_lines.append((lineno, line))
+    if record_line is None:
+        raise ParseError(f"{source}: no record line found")
+
+    lineno, line = record_line
+    tokens = line.split()
+    if len(tokens) < 4:
+        raise ParseError(f"{source}: line {lineno}: record line must be "
+                         f"'name n_channels fs n_samples'")
+    name = tokens[0]
+    try:
+        n_channels = int(tokens[1])
+        # A counter frequency may ride along as "360/..." -- keep the rate.
+        fs = float(tokens[2].split("/")[0])
+        n_samples = int(tokens[3])
+    except ValueError:
+        raise ParseError(f"{source}: line {lineno}: bad record line "
+                         f"{line!r}") from None
+    if n_channels < 1:
+        raise ParseError(f"{source}: line {lineno}: channel count must be >= 1")
+    if fs <= 0:
+        raise ParseError(f"{source}: line {lineno}: sampling rate must be > 0")
+    if n_samples < 0:
+        raise ParseError(f"{source}: line {lineno}: negative sample count")
+
+    if len(signal_lines) != n_channels:
+        raise ParseError(
+            f"{source}: declared {n_channels} channel(s) but found "
+            f"{len(signal_lines)} signal line(s)")
+    channels = [_parse_signal_line(line, lineno, source)
+                for lineno, line in signal_lines]
+    for i, ch in enumerate(channels):
+        if not ch.label:
+            channels[i] = ch._replace(label=f"ch{i}")
+    return HeaderInfo(record_name=name, n_channels=n_channels,
+                      sampling_rate_hz=fs, n_samples=n_samples,
+                      channels=channels)
+
+
+def _to_millivolts(raw: np.ndarray, header: HeaderInfo) -> Record:
+    channels = []
+    for i, ch in enumerate(header.channels):
+        mv = (raw[:, i] - ch.baseline) / ch.gain
+        channels.append(Channel(label=ch.label, samples=mv,
+                                gain=ch.gain, baseline=ch.baseline))
+    return Record(sampling_rate_hz=header.sampling_rate_hz,
+                  channels=channels, duration_samples=raw.shape[0])
+
+
+def decode_format212(data: bytes, header: HeaderInfo) -> Record:
+    """Unpack bit-packed 12-bit sample pairs into a millivolt Record.
+
+    Every 3 bytes hold two 12-bit two's-complement samples: the first is
+    byte0 plus the low nibble of byte1 as its high bits, the second is
+    byte2 plus the high nibble of byte1 as its high bits.
+    """
+    for ch in header.channels:
+        if ch.format_code != 212:
+            raise UnsupportedFormatError(
+                f"channel {ch.label!r} declares format {ch.format_code}, "
+                f"expected 212")
+    total = header.n_samples * header.n_channels
+    need = (3 * total + 1) // 2  # ceil(1.5 * total)
+    if len(data) < need:
+        raise ParseError(f"truncated format-212 stream: have {len(data)} "
+                         f"bytes, need {need} (failed at byte {len(data)})")
+    pairs = (total + 1) // 2
+    buf = np.frombuffer(data, dtype=np.uint8, count=min(len(data), 3 * pairs))
+    if len(buf) < 3 * pairs:  # tolerate a clipped final pad byte
+        buf = np.concatenate([buf, np.zeros(3 * pairs - len(buf), np.uint8)])
+    groups = buf.reshape(-1, 3).astype(np.int32)
+    first = groups[:, 0] | ((groups[:, 1] & 0x0F) << 8)
+    second = groups[:, 2] | ((groups[:, 1] & 0xF0) << 4)
+    flat = np.empty(2 * pairs, dtype=np.int32)
+    flat[0::2] = first
+    flat[1::2] = second
+    flat = flat[:total]
+    flat[flat > 2047] -= 4096  # sign-extend from bit 11
+    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
+    return _to_millivolts(raw, header)
+
+
+def decode_format16(data: bytes, header: HeaderInfo) -> Record:
+    """Decode little-endian 16-bit samples (WFDB format 16)."""
+    for ch in header.channels:
+        if ch.format_code != 16:
+            raise UnsupportedFormatError(
+                f"channel {ch.label!r} declares format {ch.format_code}, "
+                f"expected 16")
+    total = header.n_samples * header.n_channels
+    need = 2 * total
+    if len(data) < need:
+        raise ParseError(f"truncated format-16 stream: have {len(data)} bytes,"
+                         f" need {need} (failed at byte {len(data)})")
+    flat = np.frombuffer(data, dtype="<i2", count=total)
+    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
+    return _to_millivolts(raw, header)
+
+
+def load_wfdb_record(header_path: str | Path) -> Record:
+    """Load a record given its ``.hea`` path (or the bare record stem)."""
+    header_path = Path(header_path)
+    if header_path.suffix != ".hea":
+        header_path = header_path.with_suffix(".hea")
+    header = parse_wfdb_header(header_path.read_text(encoding="utf-8"),
+                               source=str(header_path))
+    file_names = {ch.file_name for ch in header.channels}
+    if len(file_names) != 1:
+        raise UnsupportedFormatError(
+            f"{header_path}: channels spread over multiple signal files "
+            f"({sorted(file_names)}) are not supported")
+    formats = {ch.format_code for ch in header.channels}
+    if len(formats) != 1:
+        raise UnsupportedFormatError(
+            f"{header_path}: mixed per-channel formats {sorted(formats)}")
+    data = (header_path.parent / file_names.pop()).read_bytes()
+    fmt = formats.pop()
+    if fmt == 212:
+        return decode_format212(data, header)
+    if fmt == 16:
+        return decode_format16(data, header)
+    raise UnsupportedFormatError(f"{header_path}: signal format {fmt} is not "
+                                 f"supported (only 212 and 16)")
+
+
+def _load_plain_annotations(path: Path) -> AnnotationSet:
+    indices = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                idx = int(line)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: not an integer "
+                                 f"sample index: {line!r}") from None
+            if idx < 0:
+                raise ParseError(f"{path}: line {lineno}: negative index")
+            if indices and idx <= indices[-1]:
+                raise ParseError(f"{path}: line {lineno}: indices must be "
+                                 f"strictly increasing")
+            indices.append(idx)
+    return AnnotationSet(beat_samples=np.asarray(indices, dtype=np.int64),
+                         beat_labels=None, source_format="plain_text")
+
+
+def _load_atr_annotations(path: Path, beat_codes: dict[int, str]) -> AnnotationSet:
+    data = path.read_bytes()
+    if len(data) % 2:
+        data = data[:-1]
+    words = np.frombuffer(data, dtype=np.uint8).reshape(-1, 2)
+    indices: list[int] = []
+    labels: list[str] = []
+    time = 0
+    pending_skip = 0
+    unknown = 0
+    i = 0
+    n = len(words)
+    while i < n:
+        b0, b1 = int(words[i, 0]), int(words[i, 1])
+        code = b1 >> 2
+        delta = b0 | ((b1 & 0x03) << 8)
+        if code == 0 and delta == 0:  # end of annotation stream
+            break
+        if code == _SKIP:
+            if i + 2 >= n:
+                raise ParseError(f"{path}: truncated skip interval at word {i}")
+            hi = int(words[i + 1, 0]) << 16 | int(words[i + 1, 1]) << 24
+            lo = int(words[i + 2, 0]) | int(words[i + 2, 1]) << 8
+            value = hi | lo
+            if value > 0x7FFFFFFF:
+                value -= 0x100000000
+            pending_skip += value
+            i += 3
+            continue
+        if code == _AUX:
+            i += 1 + (delta + 1) // 2  # aux text is padded to a whole word
+            continue
+        if code in (_NUM, _SUB, _CHAN):
+            i += 1
+            continue
+        time += pending_skip + delta
+        pending_skip = 0
+        if time < 0:
+            raise ParseError(f"{path}: annotation time went negative at word {i}")
+        if code in beat_codes:
+            if indices and time <= indices[-1]:
+                raise ParseError(f"{path}: beat samples not strictly "
+                                 f"increasing at word {i}")
+            indices.append(time)
+            labels.append(beat_codes[code])
+        elif code not in _KNOWN_NONBEAT_CODES:
+            unknown += 1
+        i += 1
+    if unknown:
+        logger.warning("%s: skipped %d annotation(s) with unknown type codes",
+                       path, unknown)
+    return AnnotationSet(beat_samples=np.asarray(indices, dtype=np.int64),
+                         beat_labels=labels, source_format="wfdb_atr")
+
+
+def load_annotations(path: str | Path, format: str = "auto",
+                     beat_symbols: Sequence[str] = DEFAULT_BEAT_SYMBOLS,
+                     ) -> AnnotationSet:
+    """Read reference beats from a plain-text or MIT binary annotation file.
+
+    Args:
+        path: annotation file.
+        format: ``plain_text``, ``wfdb_atr`` or ``auto`` (by file suffix:
+            ``.atr``/``.qrs`` mean the binary form).
+        beat_symbols: which beat classes to keep when reading binary
+            annotations; defaults to all beat classes.
+    """
+    path = Path(path)
+    if format == "auto":
+        format = "wfdb_atr" if path.suffix in (".atr", ".qrs") else "plain_text"
+    if format == "plain_text":
+        return _load_plain_annotations(path)
+    if format == "wfdb_atr":
+        unknown_symbols = set(beat_symbols) - set(BEAT_CODE_BY_SYMBOL)
+        if unknown_symbols:
+            raise ParseError(f"unknown beat symbol(s): {sorted(unknown_symbols)}")
+        beat_codes = {BEAT_CODE_BY_SYMBOL[s]: s for s in beat_symbols}
+        return _load_atr_annotations(path, beat_codes)
+    raise ParseError(f"unknown annotation format {format!r}")
+
+
+def save_csv(record: Record, path: str | Path, channel: int = 0) -> None:
+    """Write one channel as ``index,value`` lines readable by load_csv."""
+    samples = record.channels[channel].samples
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sample_index,value\n")
+        for i, v in enumerate(samples):
+            fh.write(f"{i},{float(v)!r}\n")
+
+
+def save_annotations(annotations: AnnotationSet, path: str | Path) -> None:
+    """Write beats as plain-text sample indices, one per line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for idx in annotations.beat_samples:
+            fh.write(f"{int(idx)}\n")

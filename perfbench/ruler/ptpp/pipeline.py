@@ -1,0 +1,215 @@
+"""Preprocessing chain shared by both detectors.
+
+Five stages applied in order: Butterworth band-pass, five-point derivative,
+squaring, flat-top smoothing and a trailing moving-window integral. Each
+stage preserves length, and the accumulated group delay of every stage is
+reported so detections can be mapped back onto the raw trace.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy.signal
+
+from .errors import ConfigError, InputTooShortError
+
+# Flat-top window coefficients. These are the truncated five-term values in
+# common circulation rather than the exact harris coefficients; they are kept
+# verbatim so the kernel (and its slightly negative endpoints) reproduces the
+# published response.
+FLATTOP_A0 = 0.2155789
+FLATTOP_A1 = 0.4166316
+FLATTOP_A2 = 0.27726316
+FLATTOP_A3 = 0.08357895
+FLATTOP_A4 = 0.00694737
+
+MIN_SMOOTH_SAMPLES = 5
+GROUP_DELAY_PROBE_HZ = 10.0
+
+
+def ms_to_samples(ms: float, fs: float, minimum: int = 1) -> int:
+    """Convert a duration to samples, rounding halves up."""
+    return max(minimum, int(ms * fs / 1000.0 + 0.5))
+
+
+@dataclass
+class PipelineConfig:
+    band_low_hz: float = 5.0
+    band_high_hz: float = 18.0
+    filter_order: int = 3
+    smooth_window_ms: float = 60.0
+    mwi_window_ms: float = 150.0
+    zero_phase: bool = False
+    smooth_enabled: bool = True  # the classic detector bypasses smoothing
+
+    def validate(self, fs: float) -> None:
+        if fs <= 0:
+            raise ConfigError(f"sampling rate must be positive, got {fs}")
+        if not 0 < self.band_low_hz < self.band_high_hz:
+            raise ConfigError(
+                f"band edges must satisfy 0 < low < high, got "
+                f"({self.band_low_hz}, {self.band_high_hz})")
+        if self.band_high_hz >= fs / 2:
+            raise ConfigError(
+                f"band_high_hz={self.band_high_hz} must lie below the "
+                f"Nyquist frequency {fs / 2}")
+        if self.filter_order < 1:
+            raise ConfigError("filter_order must be >= 1")
+        if self.smooth_window_ms <= 0 or self.mwi_window_ms <= 0:
+            raise ConfigError("window durations must be positive")
+
+
+@dataclass
+class StageOutputs:
+    """Every intermediate signal plus the per-stage delay bookkeeping."""
+
+    filtered: np.ndarray
+    derived: np.ndarray
+    squared: np.ndarray
+    smoothed: np.ndarray
+    integrated: np.ndarray
+    stage_delays_samples: dict[str, int] = field(default_factory=dict)
+
+
+def _design_sos(fs: float, config: PipelineConfig) -> np.ndarray:
+    return scipy.signal.butter(
+        config.filter_order,
+        [config.band_low_hz, config.band_high_hz],
+        btype="bandpass", fs=fs, output="sos")
+
+
+def _sos_group_delay(sos: np.ndarray, fs: float, freq_hz: float) -> float:
+    total = 0.0
+    for section in sos:
+        b, a = section[:3], section[3:]
+        _, gd = scipy.signal.group_delay((b, a), w=[freq_hz], fs=fs)
+        total += float(gd[0])
+    return total
+
+
+def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarray:
+    """Apply the Butterworth band-pass (causal, or forward-backward when
+    ``zero_phase`` is set)."""
+    config.validate(fs)
+    x = np.asarray(samples, dtype=np.float64)
+    sos = _design_sos(fs, config)
+    if config.zero_phase:
+        return scipy.signal.sosfiltfilt(sos, x)
+    return scipy.signal.sosfilt(sos, x)
+
+
+def derivative(samples: np.ndarray, fs: float) -> np.ndarray:
+    """Five-point derivative y(n) = (-x(n-2) - 2x(n-1) + 2x(n+1) + x(n+2)) / (8T).
+
+    Boundary samples are handled by edge replication, so an interior linear
+    ramp comes out exactly constant.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if len(x) < 5:
+        raise InputTooShortError(
+            f"derivative needs at least 5 samples, got {len(x)}")
+    xp = np.pad(x, 2, mode="edge")
+    return (-xp[:-4] - 2.0 * xp[1:-3] + 2.0 * xp[3:-1] + xp[4:]) * (fs / 8.0)
+
+
+def square(samples: np.ndarray) -> np.ndarray:
+    x = np.asarray(samples, dtype=np.float64)
+    return x * x
+
+
+def flattop_kernel(width_samples: int) -> np.ndarray:
+    """Five-term flat-top window over one full period, normalised to unit sum."""
+    if width_samples < MIN_SMOOTH_SAMPLES:
+        raise ConfigError(
+            f"flat-top width must be >= {MIN_SMOOTH_SAMPLES} samples, "
+            f"got {width_samples}")
+    n = np.arange(width_samples)
+    psi = 2.0 * np.pi * n / width_samples
+    w = (FLATTOP_A0
+         - FLATTOP_A1 * np.cos(psi)
+         + FLATTOP_A2 * np.cos(2.0 * psi)
+         - FLATTOP_A3 * np.cos(3.0 * psi)
+         + FLATTOP_A4 * np.cos(4.0 * psi))
+    return w / w.sum()
+
+
+def _causal_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # Trailing convolution with the left edge replicated, so y[n] depends on
+    # x[n - k] only and the output keeps the input length.
+    k = len(kernel)
+    padded = np.concatenate([np.full(k - 1, x[0]), x])
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def smooth(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Convolve with an arbitrary unit-sum kernel (flat-top in the default
+    pipeline)."""
+    x = np.asarray(samples, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if len(kernel) > len(x):
+        raise InputTooShortError(
+            f"kernel ({len(kernel)}) longer than signal ({len(x)})")
+    return _causal_convolve(x, kernel)
+
+
+def mwi(samples: np.ndarray, window_samples: int) -> np.ndarray:
+    """Trailing moving-window mean over the last ``window_samples`` samples."""
+    x = np.asarray(samples, dtype=np.float64)
+    if window_samples < 1:
+        raise ConfigError(f"MWI window must be >= 1 sample, got {window_samples}")
+    if window_samples > len(x):
+        raise InputTooShortError(
+            f"MWI window ({window_samples}) longer than signal ({len(x)})")
+    kernel = np.full(window_samples, 1.0 / window_samples)
+    return _causal_convolve(x, kernel)
+
+
+def run_pipeline(samples: np.ndarray, fs: float,
+                 config: PipelineConfig | None = None) -> StageOutputs:
+    """Run all five stages on one channel and report per-stage delays.
+
+    Delay bookkeeping: the band-pass delay is the filter's group delay
+    measured at 10 Hz (zero when ``zero_phase``), the derivative stencil is
+    symmetric (zero), and each trailing window of length N contributes
+    (N - 1) // 2.
+    """
+    if config is None:
+        config = PipelineConfig()
+    config.validate(fs)
+    x = np.asarray(samples, dtype=np.float64)
+
+    sos = _design_sos(fs, config)
+    if config.zero_phase:
+        filtered = scipy.signal.sosfiltfilt(sos, x)
+        bp_delay = 0
+    else:
+        filtered = scipy.signal.sosfilt(sos, x)
+        bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
+
+    derived = derivative(filtered, fs)
+    squared = square(derived)
+
+    if config.smooth_enabled:
+        width = ms_to_samples(config.smooth_window_ms, fs,
+                              minimum=MIN_SMOOTH_SAMPLES)
+        smoothed = smooth(squared, flattop_kernel(width))
+        smooth_delay = (width - 1) // 2
+    else:
+        smoothed = squared
+        smooth_delay = 0
+
+    mwi_width = ms_to_samples(config.mwi_window_ms, fs, minimum=1)
+    integrated = mwi(smoothed, mwi_width)
+
+    delays = {
+        "bandpass": bp_delay,
+        "derivative": 0,
+        "square": 0,
+        "smooth": smooth_delay,
+        "mwi": (mwi_width - 1) // 2,
+    }
+    return StageOutputs(filtered=filtered, derived=derived, squared=squared,
+                        smoothed=smoothed, integrated=integrated,
+                        stage_delays_samples=delays)
