@@ -8,7 +8,6 @@ import json
 import logging
 import os
 import sys
-import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,7 +17,8 @@ import numpy as np
 from .baseline import PtConfig
 from .detector import DetectorConfig
 from .errors import ConfigError, ParseError, PtppError
-from .evaluation import SynthSpec, match_beats, metrics, synth_ecg, time_detector
+from .evaluation import (SynthSpec, match_beats, metrics, synth_ecg,
+                         time_detector, timed_call)
 from .io import (AnnotationSet, Record, load_annotations, load_csv,
                  load_wfdb_record, save_annotations, save_csv)
 from .pipeline import PipelineConfig, run_pipeline
@@ -265,25 +265,22 @@ def _default_output(config: RunConfig, fallback: str) -> Path:
 # --------------------------------------------------------------------------
 # commands
 
-def _configs_for(detector: str, pairs: dict[str, str]):
+def _configs_for(detector: str, pairs: dict[str, str]) -> dict:
+    """``run_detector``'s config keyword arguments for ``detector``."""
     pipeline_cfg = _apply_section(default_pipeline_config(detector),
                                   "pipeline", pairs)
     detector_cfg = _apply_section(DetectorConfig(), "detector", pairs)
     pt_cfg = _apply_section(PtConfig(), "pt", pairs)
     detector_cfg.validate()
     pt_cfg.validate()
-    return pipeline_cfg, detector_cfg, pt_cfg
+    return {"pipeline_cfg": pipeline_cfg, "detector_cfg": detector_cfg,
+            "pt_cfg": pt_cfg}
 
 
 def _run_on_record(detector: str, record: Record, channel: int,
                    pairs: dict[str, str]):
-    pipeline_cfg, detector_cfg, pt_cfg = _configs_for(detector, pairs)
-    samples = record.channels[channel].samples
-    started = time.perf_counter()
-    run = run_detector(detector, samples, record.sampling_rate_hz,
-                       pipeline_cfg=pipeline_cfg, detector_cfg=detector_cfg,
-                       pt_cfg=pt_cfg)
-    return run, time.perf_counter() - started
+    return timed_call(run_detector, detector, record.channels[channel].samples,
+                      record.sampling_rate_hz, **_configs_for(detector, pairs))
 
 
 def _cmd_detect(config: RunConfig, pairs: dict[str, str]) -> int:
@@ -294,7 +291,7 @@ def _cmd_detect(config: RunConfig, pairs: dict[str, str]) -> int:
     run, _ = _run_on_record(config.detector, record, channel, pairs)
     fs = record.sampling_rate_hz
     rows = []
-    for raw_index, tag in zip(run.r_peaks, run.detection.provenance):
+    for raw_index, tag in zip(run.r_peaks, run.provenance):
         rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
     out = _default_output(config, f"{record_path.stem}.detections.csv")
     _write_csv(out, DETECTIONS_HEADER, rows)
@@ -307,7 +304,7 @@ def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
     fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
     record = _load_record(record_path, fs_hint)
     channel = resolve_channel(record, config.channel)
-    pipeline_cfg, _, _ = _configs_for(config.detector, pairs)
+    pipeline_cfg = _configs_for(config.detector, pairs)["pipeline_cfg"]
     samples = record.channels[channel].samples
     stages = run_pipeline(samples, record.sampling_rate_hz, pipeline_cfg)
     rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
@@ -403,11 +400,9 @@ def _cmd_bench(config: RunConfig, pairs: dict[str, str]) -> int:
     channel = resolve_channel(record, config.channel)
     rows, medians = [], {}
     for detector in DETECTORS:
-        pipeline_cfg, detector_cfg, pt_cfg = _configs_for(detector, pairs)
-        cfg = detector_cfg if detector == "ptpp" else pt_cfg
-        median_s = time_detector(detector, record, cfg, channel=channel,
+        median_s = time_detector(detector, record, channel=channel,
                                  repeats=config.repeats,
-                                 pipeline_cfg=pipeline_cfg)
+                                 **_configs_for(detector, pairs))
         medians[detector] = median_s
         rows.append([detector, record_path.stem, record.duration_samples,
                      repr(record.sampling_rate_hz), f"{median_s:.4f}",

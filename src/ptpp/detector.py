@@ -1,11 +1,13 @@
-"""Adaptive three-threshold R-peak decision logic.
+"""Adaptive-threshold R-peak decision logic.
 
-The decision loop walks candidate humps of the integrated signal with a
-running signal/noise peak estimate per channel (integrated and band-passed),
-a slope-based T-wave discriminator, an RR-driven search-back pass with a
-third threshold built from surrounding peak amplitudes, and a low-threshold
-recovery branch for very long gaps (e.g. after an amplitude spike blows up
-the running estimates).
+One candidate loop serves both detectors, each under a small policy. It walks
+candidate humps of the integrated signal with a running signal/noise peak
+estimate per channel, a slope-based T-wave discriminator and an RR-driven
+search-back pass. Pan-Tompkins++ (:func:`detect`) uses the integrated and
+band-passed channels, a search-back bar (threshold3) built from surrounding
+peak amplitudes, and a low-threshold recovery branch for very long gaps (e.g.
+after an amplitude spike blows up the running estimates); the classic
+:func:`ptpp.baseline.detect_pt` uses the integrated channel alone.
 
 Detections are indexed in integrated-signal coordinates; use
 :func:`localize_rpeaks` to map them back onto the raw trace.
@@ -14,9 +16,10 @@ Detections are indexed in integrated-signal coordinates; use
 from __future__ import annotations
 
 import bisect
+import math
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -163,37 +166,71 @@ def init_thresholds(channel_signal: np.ndarray, fs: float,
                           t2_ratio=t2_ratio)
 
 
-def _recomputed(state: ThresholdState, spk: float, npk: float) -> ThresholdState:
-    threshold1 = npk + 0.25 * (spk - npk)
-    return replace(state, spk=spk, npk=npk, threshold1=threshold1,
-                   threshold2=state.t2_ratio * threshold1)
+class _Levels:
+    """One channel's running estimates and thresholds as plain floats, which
+    the decision loop updates in place; the public rules copy a state in."""
+
+    __slots__ = ("spk", "npk", "threshold1", "threshold2", "t2_ratio")
+
+    def __init__(self, state: ThresholdState):
+        self.spk = state.spk
+        self.npk = state.npk
+        self.threshold1 = state.threshold1
+        self.threshold2 = state.threshold2
+        self.t2_ratio = state.t2_ratio
+
+    def state(self) -> ThresholdState:
+        return ThresholdState(self.spk, self.npk, self.threshold1,
+                              self.threshold2, self.t2_ratio)
+
+    def _recompute(self, peak: float, spk: float, npk: float) -> None:
+        if peak < 0:
+            raise ProcessingError(f"peak amplitude must be >= 0, got {peak}")
+        self.spk = spk
+        self.npk = npk
+        self.threshold1 = npk + 0.25 * (spk - npk)
+        self.threshold2 = self.t2_ratio * self.threshold1
+
+    def signal(self, peak: float) -> None:  # Rule 1, signal peak
+        self._recompute(peak, 0.125 * peak + 0.875 * self.spk, self.npk)
+
+    def noise(self, peak: float) -> None:  # Rule 1, noise peak
+        self._recompute(peak, self.spk, 0.125 * peak + 0.875 * self.npk)
+
+    def fast(self, peak: float) -> None:  # Rule 2
+        self._recompute(peak, 0.75 * peak + 0.25 * self.spk,
+                        0.75 * peak + 0.25 * self.npk)
+
+    def halve(self) -> None:
+        self.threshold1 = 0.5 * self.threshold1
+        self.threshold2 = self.t2_ratio * self.threshold1
+
+    def threshold3(self, meansb: float) -> float:
+        if meansb < 0:
+            raise ProcessingError(f"meansb must be >= 0, got {meansb}")
+        return 0.5 * self.threshold2 + 0.5 * meansb
 
 
 def update_rule1(state: ThresholdState, peak: float,
                  is_signal: bool) -> ThresholdState:
     """Slow running-estimate update: 0.125·peak + 0.875·previous."""
-    if peak < 0:
-        raise ProcessingError(f"peak amplitude must be >= 0, got {peak}")
-    if is_signal:
-        return _recomputed(state, 0.125 * peak + 0.875 * state.spk, state.npk)
-    return _recomputed(state, state.spk, 0.125 * peak + 0.875 * state.npk)
+    levels = _Levels(state)
+    (levels.signal if is_signal else levels.noise)(peak)
+    return levels.state()
 
 
 def update_rule2(state: ThresholdState, peak: float) -> ThresholdState:
     """Fast adaptation after a search-back find: both estimates are pulled
     three quarters of the way toward the new peak."""
-    if peak < 0:
-        raise ProcessingError(f"peak amplitude must be >= 0, got {peak}")
-    return _recomputed(state, 0.75 * peak + 0.25 * state.spk,
-                       0.75 * peak + 0.25 * state.npk)
+    levels = _Levels(state)
+    levels.fast(peak)
+    return levels.state()
 
 
 def threshold3(state: ThresholdState, meansb: float) -> float:
     """Search-back threshold: halfway between threshold2 and the mean of the
     surrounding peak amplitudes."""
-    if meansb < 0:
-        raise ProcessingError(f"meansb must be >= 0, got {meansb}")
-    return 0.5 * state.threshold2 + 0.5 * meansb
+    return _Levels(state).threshold3(meansb)
 
 
 def mean_slope(filtered: np.ndarray, idx: int, fs: float,
@@ -210,10 +247,160 @@ def mean_slope(filtered: np.ndarray, idx: int, fs: float,
     return float(np.mean(np.abs(np.diff(seg))))
 
 
+@dataclass(frozen=True)
+class _Policy:
+    """The rules in which the two detectors' decision loops differ; their
+    durations and ratios come from a :class:`DetectorConfig`."""
+
+    band_channel: bool  # the band-passed amplitude must clear threshold1 too
+    t2_ratio: float
+    twave_rr_mean_frac: float  # RR below this × rr_mean faces the slope test
+    halve_band: tuple[float, float]  # RR outside this × rr_mean halves
+    searchback_tag: str
+    # (integrated channel, mean surrounding amplitude) -> search-back bar
+    searchback_bar: Callable[[_Levels, float], float]
+    insert_rule: Callable[[_Levels, float], None]  # adapts to a find
+
+
+def _samples(seconds: float, fs: float) -> float:
+    # Rounds halves up; math.inf, a trigger switched off, stays inf.
+    return seconds if math.isinf(seconds) else int(seconds * fs + 0.5)
+
+
+def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
+            cfg: DetectorConfig, policy: _Policy,
+            trace: list | None) -> DetectionResult:
+    """The candidate loop both detectors run; see :func:`detect`."""
+    p = policy
+    integ = np.asarray(stages.integrated, dtype=np.float64)
+    filt = np.asarray(stages.filtered, dtype=np.float64)
+    n = len(integ)
+    delays = stages.stage_delays_samples
+    align = (delays.get("derivative", 0) + delays.get("smooth", 0)
+             + delays.get("mwi", 0))
+    amplitudes = [lambda i: float(integ[i])]
+    levels = [_Levels(init_thresholds(integ, fs, cfg, p.t2_ratio))]
+    if p.band_channel:
+        abs_filt = np.abs(filt)
+        half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
+
+        def filtered_peak(i: int) -> float:
+            c = min(max(i - align, 0), n - 1)
+            lo = max(0, c - half_win)
+            return float(abs_filt[lo:min(n, c + half_win + 1)].max())
+        amplitudes.append(filtered_peak)
+        levels.append(_Levels(init_thresholds(abs_filt, fs, cfg, p.t2_ratio)))
+    lead = levels[0]
+
+    min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
+    tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
+    blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
+    sb_abs = _samples(cfg.searchback_abs_s, fs)
+    spike_gap = _samples(cfg.spike_recovery_s, fs)
+    low, high = p.halve_band
+
+    beat_idx: list[int] = []
+    beat_amp: list[float] = []
+    provenance: list[str] = []
+    rejected: list[tuple[int, str]] = []
+    tracker = RrTracker(cfg.rr_history_beats)
+
+    def add_beat(j: int, tag: str) -> None:
+        rr_before = tracker.rr_mean
+        if beat_idx:
+            rr = j - beat_idx[-1]
+            tracker.add(rr)
+            if rr_before is not None and not (
+                    low * rr_before <= rr <= high * rr_before):
+                for lv in levels:
+                    lv.halve()
+        beat_idx.append(j)
+        beat_amp.append(float(integ[j]))
+        provenance.append(tag)
+
+    def reject(i: int, reason: str, peaks: list[float]) -> None:
+        rejected.append((i, reason))
+        for lv, peak in zip(levels, peaks):
+            lv.noise(peak)
+
+    for k, cand in enumerate(candidates):
+        i = int(cand)
+        peaks = [amplitude(i) for amplitude in amplitudes]
+        rr = (i - beat_idx[-1]) if beat_idx else None
+        rr_mean = tracker.rr_mean
+
+        if rr is not None and rr < min_sep:
+            reject(i, REJECT_REFRACTORY, peaks)
+            if trace is not None:
+                trace.append((i, *[lv.state() for lv in levels]))
+            continue
+
+        passes_amp = all(peak > lv.threshold1
+                         for peak, lv in zip(peaks, levels))
+        is_twave = False
+        if passes_amp and rr is not None and (
+                rr < tw_rr or (rr_mean is not None
+                               and rr < p.twave_rr_mean_frac * rr_mean)):
+            cur = mean_slope(filt, max(0, i - align), fs, cfg)
+            prev = mean_slope(filt, max(0, beat_idx[-1] - align), fs, cfg)
+            is_twave = cur < cfg.twave_slope_ratio * prev
+        accept_current = passes_amp and not is_twave
+
+        inserted_at = None
+        if rr is not None and (rr > sb_abs or (
+                rr_mean is not None and rr > cfg.searchback_rr_factor * rr_mean)):
+            left = beat_idx[-1] + blank
+            right = (i - min_sep) if accept_current else i
+            if left <= right:
+                j = left + int(np.argmax(integ[left:right + 1]))
+                wmax = float(integ[j])
+                surrounding = beat_amp[-3:] + [
+                    float(integ[c]) for c in candidates[k:k + 3]]
+                tag = None
+                if wmax > p.searchback_bar(lead, float(np.mean(surrounding))):
+                    tag = p.searchback_tag
+                elif (rr > spike_gap
+                      and wmax > cfg.spike_recovery_t2_frac * lead.threshold2):
+                    tag = VIA_SPIKE_RECOVERY
+                if tag is not None:
+                    # Adapt before add_beat: a halving there must outlive
+                    # this find's own threshold recompute.
+                    for lv, amplitude in zip(levels, amplitudes):
+                        p.insert_rule(lv, amplitude(j))
+                    add_beat(j, tag)
+                    inserted_at = j
+
+        if accept_current:
+            for lv, peak in zip(levels, peaks):
+                lv.signal(peak)
+            add_beat(i, VIA_THRESHOLD1)
+        elif is_twave:
+            reject(i, REJECT_TWAVE, peaks)
+        elif inserted_at != i:
+            reject(i, REJECT_BELOW, peaks)
+
+        if trace is not None:
+            trace.append((i, *[lv.state() for lv in levels]))
+
+    return DetectionResult(r_peaks=np.asarray(beat_idx, dtype=np.int64),
+                           provenance=provenance, rejected=rejected)
+
+
+_PTPP_POLICY = _Policy(
+    band_channel=True,
+    t2_ratio=0.4,
+    twave_rr_mean_frac=0.5,
+    halve_band=(0.0, math.inf),
+    searchback_tag=VIA_SEARCHBACK,
+    searchback_bar=_Levels.threshold3,
+    insert_rule=_Levels.fast,
+)
+
+
 def detect(stages: StageOutputs, fs: float,
            cfg: DetectorConfig | None = None,
            trace: list | None = None) -> DetectionResult:
-    """Run the decision loop over one channel's stage outputs.
+    """Run the Pan-Tompkins++ decision loop over one channel's stage outputs.
 
     For every candidate hump of the integrated signal:
 
@@ -234,120 +421,22 @@ def detect(stages: StageOutputs, fs: float,
     if cfg is None:
         cfg = DetectorConfig()
     cfg.validate()
-    integ = np.asarray(stages.integrated, dtype=np.float64)
-    filt = np.asarray(stages.filtered, dtype=np.float64)
-    abs_filt = np.abs(filt)
-    n = len(integ)
-    delays = stages.stage_delays_samples
-    align = (delays.get("derivative", 0) + delays.get("smooth", 0)
-             + delays.get("mwi", 0))
-    half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-
-    def filtered_peak(i: int) -> float:
-        c = min(max(i - align, 0), n - 1)
-        lo = max(0, c - half_win)
-        return float(abs_filt[lo:min(n, c + half_win + 1)].max())
-
-    candidates = find_candidates(integ, fs, cfg)
-    state_i = init_thresholds(integ, fs, cfg)
-    state_f = init_thresholds(abs_filt, fs, cfg)
-
-    min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
-    tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
-    blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
-    sb_abs = int(cfg.searchback_abs_s * fs + 0.5)
-    spike_gap = int(cfg.spike_recovery_s * fs + 0.5)
-
-    beat_idx: list[int] = []
-    beat_amp: list[float] = []
-    provenance: list[str] = []
-    rejected: list[tuple[int, str]] = []
-    tracker = RrTracker(cfg.rr_history_beats)
-
-    def add_beat(j: int, tag: str) -> None:
-        if beat_idx:
-            tracker.add(j - beat_idx[-1])
-        beat_idx.append(j)
-        beat_amp.append(float(integ[j]))
-        provenance.append(tag)
-
-    def reject(i: int, reason: str, peak_i: float, peak_f: float) -> None:
-        nonlocal state_i, state_f
-        rejected.append((i, reason))
-        state_i = update_rule1(state_i, peak_i, is_signal=False)
-        state_f = update_rule1(state_f, peak_f, is_signal=False)
-
-    for k, cand in enumerate(candidates):
-        i = int(cand)
-        peak_i = float(integ[i])
-        peak_f = filtered_peak(i)
-        rr = (i - beat_idx[-1]) if beat_idx else None
-        rr_mean = tracker.rr_mean
-
-        if rr is not None and rr < min_sep:
-            reject(i, REJECT_REFRACTORY, peak_i, peak_f)
-            if trace is not None:
-                trace.append((i, state_i, state_f))
-            continue
-
-        passes_amp = (peak_i > state_i.threshold1
-                      and peak_f > state_f.threshold1)
-        is_twave = False
-        if passes_amp and rr is not None and (
-                rr < tw_rr or (rr_mean is not None and rr < 0.5 * rr_mean)):
-            cur = mean_slope(filt, max(0, i - align), fs, cfg)
-            prev = mean_slope(filt, max(0, beat_idx[-1] - align), fs, cfg)
-            is_twave = cur < cfg.twave_slope_ratio * prev
-        accept_current = passes_amp and not is_twave
-
-        inserted_at = None
-        if rr is not None and (rr > sb_abs or (
-                rr_mean is not None and rr > cfg.searchback_rr_factor * rr_mean)):
-            left = beat_idx[-1] + blank
-            right = (i - min_sep) if accept_current else i
-            if left <= right:
-                window = integ[left:right + 1]
-                j = left + int(np.argmax(window))
-                wmax = float(integ[j])
-                surrounding = beat_amp[-3:] + [
-                    float(integ[c]) for c in candidates[k:k + 3]]
-                t3 = threshold3(state_i, float(np.mean(surrounding)))
-                tag = None
-                if wmax > t3:
-                    tag = VIA_SEARCHBACK
-                elif (rr > spike_gap
-                      and wmax > cfg.spike_recovery_t2_frac * state_i.threshold2):
-                    tag = VIA_SPIKE_RECOVERY
-                if tag is not None:
-                    add_beat(j, tag)
-                    state_i = update_rule2(state_i, wmax)
-                    state_f = update_rule2(state_f, filtered_peak(j))
-                    inserted_at = j
-
-        if accept_current:
-            add_beat(i, VIA_THRESHOLD1)
-            state_i = update_rule1(state_i, peak_i, is_signal=True)
-            state_f = update_rule1(state_f, peak_f, is_signal=True)
-        elif is_twave:
-            reject(i, REJECT_TWAVE, peak_i, peak_f)
-        elif inserted_at != i:
-            reject(i, REJECT_BELOW, peak_i, peak_f)
-
-        if trace is not None:
-            trace.append((i, state_i, state_f))
-
-    return DetectionResult(r_peaks=np.asarray(beat_idx, dtype=np.int64),
-                           provenance=provenance, rejected=rejected)
+    candidates = find_candidates(stages.integrated, fs, cfg)
+    return _decide(stages, fs, candidates, cfg, _PTPP_POLICY, trace)
 
 
 def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
-                    stage_delays: dict[str, int], fs: float) -> np.ndarray:
+                    stage_delays: dict[str, int], fs: float,
+                    sources: list | None = None) -> np.ndarray:
     """Map integrated-coordinate detections back to raw-trace apex indices.
 
     Each detection is shifted left by the total causal delay of the pipeline
     and snapped to the largest |raw| sample within ±75 ms. The output is
     clipped to the record bounds and strictly increasing; when two detections
     collapse onto the same neighbourhood the larger amplitude wins.
+
+    ``sources``, when given a list, receives for each returned peak the
+    index into ``detections`` of the detection it came from.
     """
     x = np.abs(np.asarray(raw, dtype=np.float64))
     n = len(x)
@@ -361,12 +450,14 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
         lo = max(0, c - w)
         hi = min(n, c + w + 1)
         mapped.append(lo + int(np.argmax(x[lo:hi])))
-    out: list[int] = []
-    for j in mapped:
-        if not out or j > out[-1]:
-            out.append(j)
+    kept: list[int] = []  # indices into mapped
+    for k, j in enumerate(mapped):
+        if not kept or j > mapped[kept[-1]]:
+            kept.append(k)
             continue
-        floor = out[-2] if len(out) > 1 else -1
-        if x[j] > x[out[-1]] and j > floor:
-            out[-1] = j
-    return np.asarray(out, dtype=np.int64)
+        floor = mapped[kept[-2]] if len(kept) > 1 else -1
+        if x[j] > x[mapped[kept[-1]]] and j > floor:
+            kept[-1] = k
+    if sources is not None:
+        sources.extend(kept)
+    return np.asarray([mapped[k] for k in kept], dtype=np.int64)

@@ -243,21 +243,21 @@ def synth_ecg(spec: SynthSpec) -> tuple[Record, AnnotationSet]:
     return record, annotations
 
 
-def time_detector(detector: str, record: Record, cfg=None, *,
-                  channel: int = 0, repeats: int = 5,
-                  pipeline_cfg=None) -> float:
+def timed_call(fn, *args, **kwargs) -> tuple:
+    """``fn(*args, **kwargs)`` and the wall-clock seconds it took."""
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - started
+
+
+def time_detector(detector: str, record: Record, *, channel: int = 0,
+                  repeats: int = 5, pipeline_cfg=None, detector_cfg=None,
+                  pt_cfg=None) -> float:
     """Median wall-clock seconds for pipeline + decision + localization
     (file I/O excluded; at least five runs)."""
     samples = record.channels[channel].samples
-    fs = record.sampling_rate_hz
-    kwargs = {"pipeline_cfg": pipeline_cfg}
-    if detector == "ptpp":
-        kwargs["detector_cfg"] = cfg
-    else:
-        kwargs["pt_cfg"] = cfg
-    times = []
-    for _ in range(max(5, repeats)):
-        t0 = time.perf_counter()
-        run_detector(detector, samples, fs, **kwargs)
-        times.append(time.perf_counter() - t0)
+    times = [timed_call(run_detector, detector, samples,
+                        record.sampling_rate_hz, pipeline_cfg=pipeline_cfg,
+                        detector_cfg=detector_cfg, pt_cfg=pt_cfg)[1]
+             for _ in range(max(5, repeats))]
     return float(statistics.median(times))

@@ -180,12 +180,10 @@ def run_pipeline(samples: np.ndarray, fs: float,
     config.validate(fs)
     x = np.asarray(samples, dtype=np.float64)
 
-    sos = _design_sos(fs, config)
-    if config.zero_phase:
-        filtered = scipy.signal.sosfiltfilt(sos, x)
-        bp_delay = 0
-    else:
-        filtered = scipy.signal.sosfilt(sos, x)
+    filtered = bandpass(x, fs, config)
+    bp_delay = 0
+    if not config.zero_phase:
+        sos = _design_sos(fs, config)
         bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
 
     derived = derivative(filtered, fs)

@@ -29,6 +29,8 @@ class DetectorRun:
     r_peaks: np.ndarray  # raw-trace coordinates, after localization
     detection: DetectionResult  # integrated-signal coordinates
     stages: StageOutputs
+    # One tag per localized peak: that of the detection it came from.
+    provenance: list[str]
 
 
 def run_detector(detector: str, samples: np.ndarray, fs: float,
@@ -46,5 +48,8 @@ def run_detector(detector: str, samples: np.ndarray, fs: float,
         detection = detect(stages, fs, detector_cfg)
     else:
         detection = detect_pt(stages, fs, pt_cfg)
-    peaks = localize_rpeaks(samples, detection, stages.stage_delays_samples, fs)
-    return DetectorRun(r_peaks=peaks, detection=detection, stages=stages)
+    sources: list[int] = []
+    peaks = localize_rpeaks(samples, detection, stages.stage_delays_samples, fs,
+                            sources=sources)
+    return DetectorRun(r_peaks=peaks, detection=detection, stages=stages,
+                       provenance=[detection.provenance[k] for k in sources])

@@ -185,3 +185,26 @@ class TestClassicLoop:
         report = ptpp.match_beats(run.r_peaks, truth, 360.0)
         assert report.fp == 0 and report.fn == 0
         assert report.tp == len(truth.beat_samples)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_scale_invariance(seed):
+    # Acceptance 6 checks this for the main detector; every threshold of the
+    # classic one is also a linear function of the signal amplitude.
+    g = np.random.default_rng(7000 + seed)
+    spec = ptpp.SynthSpec(
+        duration_s=float(g.uniform(8.0, 15.0)),
+        heart_rate_bpm=float(g.uniform(50.0, 150.0)),
+        rr_jitter_frac=float(g.uniform(0.0, 0.2)),
+        qrs_amplitude_mv=float(g.uniform(0.5, 2.0)),
+        noise_snr_db=float(g.uniform(5.0, 30.0)) if g.random() < 0.5 else None,
+        seed=int(g.integers(0, 2 ** 31)),
+    )
+    x = ptpp.synth_ecg(spec)[0].channels[0].samples
+    base = ptpp.run_detector("pt", x, 360.0)
+    for alpha in (0.1, 10.0):
+        run = ptpp.run_detector("pt", alpha * x, 360.0)
+        np.testing.assert_array_equal(run.detection.r_peaks,
+                                      base.detection.r_peaks)
+        assert run.detection.provenance == base.detection.provenance
+        np.testing.assert_array_equal(run.r_peaks, base.r_peaks)

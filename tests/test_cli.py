@@ -205,6 +205,37 @@ class TestDetectCommand:
         assert widened.read_bytes() != base.read_bytes()
         assert restored.read_bytes() == base.read_bytes()
 
+    def test_tags_follow_their_decisions_when_peaks_collapse(self, tmp_path):
+        # min_sep below twice the ±75 ms snap window lets several decisions
+        # snap onto one raw apex; each row must keep its own decision's tag.
+        spec = write_spec(tmp_path / "spec.json", duration_s=60.0,
+                          noise_snr_db=5.0, seed=0)
+        assert main(["synth", spec, "-o", str(tmp_path / "rec")]) == 0
+        out = tmp_path / "det.csv"
+        assert main(["detect", str(tmp_path / "rec.csv"), "--fs", "360",
+                     "--set", "detector.min_peak_separation_ms=60",
+                     "--set", "detector.post_peak_blank_ms=60",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+
+        x = ptpp.load_csv(tmp_path / "rec.csv", 360.0).channels[0].samples
+        stages = ptpp.run_pipeline(x, 360.0)
+        decisions = ptpp.detect(stages, 360.0, ptpp.DetectorConfig(
+            min_peak_separation_ms=60.0, post_peak_blank_ms=60.0))
+        delay = sum(stages.stage_delays_samples.values())
+        w = ptpp.ms_to_samples(75.0, 360.0)
+        tags_at = {}
+        for d, tag in zip(decisions.r_peaks, decisions.provenance):
+            c = min(max(int(d) - delay, 0), len(x) - 1)
+            lo = max(0, c - w)
+            apex = lo + int(np.argmax(np.abs(x[lo:c + w + 1])))
+            tags_at.setdefault(apex, set()).add(tag)
+
+        assert len(rows) < len(decisions.r_peaks)  # decisions did collapse
+        assert len(set(decisions.provenance)) > 1
+        for index, _, tag in rows:
+            assert tag in tags_at[int(index)], index
+
 
 class TestEvalCommand:
     def test_perfect_scores(self, clean, tmp_path):
