@@ -41,8 +41,9 @@ class PtConfig:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:  # rejects NaN too
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
         for name in ("rr_low_frac", "rr_high_frac"):
             if not 0 < getattr(self, name) < 2:
                 raise ConfigError(f"{name} must lie in (0, 2)")

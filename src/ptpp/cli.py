@@ -149,13 +149,11 @@ def gather_overrides(config: RunConfig) -> dict[str, str]:
     return pairs
 
 
-def _eval_opt(pairs: dict[str, str], key: str, cli_value, default, cast):
+def _eval_opt(pairs: dict[str, str], key: str, cli_value, default):
     if cli_value is not None:
         return cli_value
     raw = pairs.get(f"eval.{key}")
-    if raw is None:
-        return default
-    return _coerce_like(cast(0) if cast is not str else "", raw, f"eval.{key}")
+    return default if raw is None else _coerce_like(default, raw, f"eval.{key}")
 
 
 # --------------------------------------------------------------------------
@@ -174,14 +172,20 @@ def _resolve_input(path_str: str) -> Path:
     raise ConfigError(f"input file not found: {path_str}{hint}")
 
 
-def _load_record(path: Path, fs_hint: float) -> Record:
+def _open_record(path_str: str, config: RunConfig,
+                 pairs: dict[str, str]) -> tuple[Path, Record, int]:
+    """The resolved path, decoded record and channel index of one record."""
+    path = _resolve_input(path_str)
+    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0)
     suffix = path.suffix.lower()
     if suffix == ".hea":
-        return load_wfdb_record(path)
-    if suffix in (".csv", ".txt"):
-        return load_csv(path, sampling_rate_hz=fs_hint)
-    raise ParseError(f"cannot infer record format from '{path.name}' "
-                     "(expected .hea, .csv or .txt)")
+        record = load_wfdb_record(path)
+    elif suffix in (".csv", ".txt"):
+        record = load_csv(path, sampling_rate_hz=fs_hint)
+    else:
+        raise ParseError(f"cannot infer record format from '{path.name}' "
+                         "(expected .hea, .csv or .txt)")
+    return path, record, resolve_channel(record, config.channel)
 
 
 def resolve_channel(record: Record, selector: Optional[str]) -> int:
@@ -249,17 +253,13 @@ def _fmt_ratio(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _metrics_row(detector: str, dataset: str, record_id: str, tp: int, fp: int,
-                 fn: int, m, exec_time_s: float) -> list:
-    return [detector, dataset, record_id, tp, fp, fn,
+def _metrics_row(detector: str, dataset: str, record_id: str, reports,
+                 exec_time_s: float) -> list:
+    m = metrics(reports, exec_time_s)
+    return [detector, dataset, record_id, sum(r.tp for r in reports),
+            sum(r.fp for r in reports), sum(r.fn for r in reports),
             _fmt_ratio(m.ppv), _fmt_ratio(m.sensitivity),
             _fmt_ratio(m.f_score), f"{exec_time_s:.4f}"]
-
-
-def _default_output(config: RunConfig, fallback: str) -> Path:
-    if config.output:
-        return Path(config.output)
-    return Path(fallback)
 
 
 # --------------------------------------------------------------------------
@@ -277,33 +277,30 @@ def _configs_for(detector: str, pairs: dict[str, str]) -> dict:
             "pt_cfg": pt_cfg}
 
 
-def _run_on_record(detector: str, record: Record, channel: int,
-                   pairs: dict[str, str]):
-    return timed_call(run_detector, detector, record.channels[channel].samples,
-                      record.sampling_rate_hz, **_configs_for(detector, pairs))
+def _timed_peaks(detector: str, samples: np.ndarray, fs: float,
+                 pairs: dict[str, str]):
+    """Peaks and seconds of one run; the run and its stages die on return."""
+    run, elapsed = timed_call(run_detector, detector, samples, fs,
+                              **_configs_for(detector, pairs))
+    return run.r_peaks, elapsed
 
 
 def _cmd_detect(config: RunConfig, pairs: dict[str, str]) -> int:
-    record_path = _resolve_input(config.records[0])
-    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
-    record = _load_record(record_path, fs_hint)
-    channel = resolve_channel(record, config.channel)
-    run, _ = _run_on_record(config.detector, record, channel, pairs)
+    path, record, channel = _open_record(config.records[0], config, pairs)
     fs = record.sampling_rate_hz
+    run = run_detector(config.detector, record.channels[channel].samples, fs,
+                       **_configs_for(config.detector, pairs))
     rows = []
     for raw_index, tag in zip(run.r_peaks, run.provenance):
         rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
-    out = _default_output(config, f"{record_path.stem}.detections.csv")
+    out = Path(config.output or f"{path.stem}.detections.csv")
     _write_csv(out, DETECTIONS_HEADER, rows)
     print(f"{len(rows)} detections -> {out}")
     return 0
 
 
 def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
-    record_path = _resolve_input(config.records[0])
-    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
-    record = _load_record(record_path, fs_hint)
-    channel = resolve_channel(record, config.channel)
+    path, record, channel = _open_record(config.records[0], config, pairs)
     pipeline_cfg = _configs_for(config.detector, pairs)["pipeline_cfg"]
     samples = record.channels[channel].samples
     stages = run_pipeline(samples, record.sampling_rate_hz, pipeline_cfg)
@@ -311,7 +308,7 @@ def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
              repr(float(stages.derived[i])), repr(float(stages.squared[i])),
              repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
             for i in range(len(samples)))
-    out = _default_output(config, f"{record_path.stem}.stages.csv")
+    out = Path(config.output or f"{path.stem}.stages.csv")
     _write_csv(out, STAGES_HEADER, rows)
     print(f"{len(samples)} samples x 6 stages -> {out}")
     return 0
@@ -319,67 +316,59 @@ def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
 
 def _evaluate(detectors: Sequence[str], config: RunConfig,
               pairs: dict[str, str]):
-    """Shared machinery for eval/compare: per-record rows + pooled rows."""
-    tolerance = _eval_opt(pairs, "tolerance_ms", config.tolerance_ms,
-                          100.0, float)
-    dataset = _eval_opt(pairs, "dataset", config.dataset, "local", str)
-    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
-    ann_paths = _annotation_paths(config)
+    """Shared machinery for eval/compare: per-record rows + pooled rows.
+    Each record is read once; of a detector run only its peaks live on."""
+    tolerance = _eval_opt(pairs, "tolerance_ms", config.tolerance_ms, 100.0)
+    dataset = _eval_opt(pairs, "dataset", config.dataset, "local")
+    kept: dict[str, list] = {d: [] for d in detectors}  # (stem, fs, peaks)
+    timed_reports: dict[str, list] = {d: [] for d in detectors}
+    for rec_str, ann_path in zip(config.records, _annotation_paths(config)):
+        path, record, channel = _open_record(rec_str, config, pairs)
+        reference = load_annotations(ann_path)
+        samples, fs = record.channels[channel].samples, record.sampling_rate_hz
+        for detector in detectors:
+            peaks, elapsed = _timed_peaks(detector, samples, fs, pairs)
+            report = match_beats(peaks, reference, fs, tolerance,
+                                 record_id=path.stem)
+            timed_reports[detector].append((report, elapsed))
+            kept[detector].append((path.stem, fs, peaks))
     rows = []
-    runs_by_detector: dict[str, list] = {d: [] for d in detectors}
     for detector in detectors:
-        reports, total_time = [], 0.0
-        for rec_str, ann_path in zip(config.records, ann_paths):
-            record_path = _resolve_input(rec_str)
-            record = _load_record(record_path, fs_hint)
-            channel = resolve_channel(record, config.channel)
-            reference = load_annotations(ann_path)
-            run, elapsed = _run_on_record(detector, record, channel, pairs)
-            report = match_beats(run.r_peaks, reference,
-                                 record.sampling_rate_hz, tolerance,
-                                 record_id=record_path.stem)
-            reports.append(report)
-            total_time += elapsed
-            runs_by_detector[detector].append(
-                (record_path.stem, record.sampling_rate_hz, run))
-            single = metrics([report], elapsed)
+        for report, elapsed in timed_reports[detector]:
             rows.append(_metrics_row(detector, dataset, report.record_id,
-                                     report.tp, report.fp, report.fn,
-                                     single, elapsed))
-        pooled = metrics(reports, total_time)
+                                     [report], elapsed))
         rows.append(_metrics_row(
             detector, dataset, POOLED_ROW_ID,
-            sum(r.tp for r in reports), sum(r.fp for r in reports),
-            sum(r.fn for r in reports), pooled, total_time))
-    return rows, runs_by_detector, tolerance
+            [report for report, _ in timed_reports[detector]],
+            sum(elapsed for _, elapsed in timed_reports[detector])))
+    return rows, kept, tolerance
 
 
 def _cmd_eval(config: RunConfig, pairs: dict[str, str]) -> int:
     rows, _, _ = _evaluate([config.detector], config, pairs)
-    out = _default_output(config, "metrics.csv")
+    out = Path(config.output or "metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
     print(f"{len(rows)} metric rows -> {out}")
     return 0
 
 
 def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
-    rows, runs, tolerance = _evaluate(list(DETECTORS), config, pairs)
-    out = _default_output(config, "compare_metrics.csv")
+    rows, kept, tolerance = _evaluate(list(DETECTORS), config, pairs)
+    out = Path(config.output or "compare_metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
 
     disagreement_rows = []
-    for (rec_id, fs, run_a), (_, _, run_b) in zip(runs["ptpp"], runs["pt"]):
-        other = AnnotationSet(
-            beat_samples=np.asarray(run_b.r_peaks, dtype=np.int64),
-            beat_labels=None, source_format="detections")
-        report = match_beats(run_a.r_peaks, other, fs, tolerance)
+    for (rec_id, fs, peaks_a), (_, _, peaks_b) in zip(kept["ptpp"], kept["pt"]):
+        other = AnnotationSet(beat_samples=np.asarray(peaks_b, dtype=np.int64),
+                              beat_labels=None, source_format="detections")
+        report = match_beats(peaks_a, other, fs, tolerance)
         matched_a = {pair[1] for pair in report.matched_pairs}
         matched_b = {pair[0] for pair in report.matched_pairs}
-        for idx in run_a.r_peaks:
+        for idx in peaks_a:
             if int(idx) not in matched_a:
                 disagreement_rows.append(
                     [rec_id, int(idx), repr(float(idx / fs)), "ptpp"])
-        for idx in run_b.r_peaks:
+        for idx in peaks_b:
             if int(idx) not in matched_b:
                 disagreement_rows.append(
                     [rec_id, int(idx), repr(float(idx / fs)), "pt"])
@@ -394,20 +383,17 @@ def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
 
 
 def _cmd_bench(config: RunConfig, pairs: dict[str, str]) -> int:
-    record_path = _resolve_input(config.records[0])
-    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0, float)
-    record = _load_record(record_path, fs_hint)
-    channel = resolve_channel(record, config.channel)
+    path, record, channel = _open_record(config.records[0], config, pairs)
     rows, medians = [], {}
     for detector in DETECTORS:
         median_s = time_detector(detector, record, channel=channel,
                                  repeats=config.repeats,
                                  **_configs_for(detector, pairs))
         medians[detector] = median_s
-        rows.append([detector, record_path.stem, record.duration_samples,
+        rows.append([detector, path.stem, record.duration_samples,
                      repr(record.sampling_rate_hz), f"{median_s:.4f}",
                      max(5, config.repeats), "serialized-single-thread"])
-    out = _default_output(config, "bench.csv")
+    out = Path(config.output or "bench.csv")
     _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
                      "median_s", "runs", "note"], rows)
     ratio = medians["ptpp"] / medians["pt"] if medians["pt"] > 0 else float("inf")
@@ -428,7 +414,7 @@ def _cmd_synth(config: RunConfig, pairs: dict[str, str]) -> int:
         raw["spike"] = tuple(raw["spike"])
     spec = SynthSpec.from_dict(raw)
     record, annotations = synth_ecg(spec)
-    stem = _default_output(config, spec_path.stem)
+    stem = Path(config.output or spec_path.stem)
     csv_path = stem.with_suffix(".csv")
     ann_path = stem.with_suffix(".ann")
     save_csv(record, csv_path)

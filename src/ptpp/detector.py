@@ -54,6 +54,10 @@ class ThresholdState:
     t2_ratio: float = 0.4
 
 
+# Absolute-time triggers that accept math.inf as "off".
+_OFF_WHEN_INF = ("searchback_abs_s", "spike_recovery_s")
+
+
 @dataclass
 class DetectorConfig:
     min_peak_separation_ms: float = 231.0
@@ -69,10 +73,14 @@ class DetectorConfig:
     post_peak_blank_ms: float = 360.0
 
     def validate(self) -> None:
+        # "not > 0" also rejects NaN. inf is allowed only where it switches
+        # a trigger off; anywhere else it would be turned into samples.
         numeric = {k: v for k, v in vars(self).items() if k != "rr_history_beats"}
         for name, value in numeric.items():
-            if value <= 0:
+            if not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
+            if math.isinf(value) and name not in _OFF_WHEN_INF:
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.rr_history_beats < 1:
             raise ConfigError("rr_history_beats must be >= 1")
         if not 0 < self.twave_slope_ratio < 1:

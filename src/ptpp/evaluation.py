@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -49,6 +50,9 @@ def match_beats(detected: Sequence[int], reference: AnnotationSet, fs: float,
     With the tolerance below half the minimum beat spacing this equals the
     optimal assignment.
     """
+    if not 0 <= tolerance_ms < math.inf:  # rejects NaN too
+        raise ConfigError(
+            f"tolerance must be finite and >= 0 ms, got {tolerance_ms}")
     det = np.asarray(detected, dtype=np.int64)
     ref = np.asarray(reference.beat_samples, dtype=np.int64)
     if np.any(np.diff(det) < 0) or np.any(np.diff(ref) < 0):

@@ -210,8 +210,9 @@ def parse_wfdb_header(text: str, source: str = "<header>") -> HeaderInfo:
                          f"{line!r}") from None
     if n_channels < 1:
         raise ParseError(f"{source}: line {lineno}: channel count must be >= 1")
-    if fs <= 0:
-        raise ParseError(f"{source}: line {lineno}: sampling rate must be > 0")
+    if not 0 < fs < math.inf:  # rejects NaN too
+        raise ParseError(f"{source}: line {lineno}: sampling rate must be "
+                         f"finite and > 0, got {tokens[2]!r}")
     if n_samples < 0:
         raise ParseError(f"{source}: line {lineno}: negative sample count")
 

@@ -8,6 +8,7 @@ reported so detections can be mapped back onto the raw trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,9 @@ class PipelineConfig:
     smooth_enabled: bool = True  # the classic detector bypasses smoothing
 
     def validate(self, fs: float) -> None:
-        if fs <= 0:
-            raise ConfigError(f"sampling rate must be positive, got {fs}")
+        if not 0 < fs < math.inf:  # rejects NaN too
+            raise ConfigError(
+                f"sampling rate must be positive and finite, got {fs}")
         if not 0 < self.band_low_hz < self.band_high_hz:
             raise ConfigError(
                 f"band edges must satisfy 0 < low < high, got "
@@ -57,8 +59,10 @@ class PipelineConfig:
                 f"Nyquist frequency {fs / 2}")
         if self.filter_order < 1:
             raise ConfigError("filter_order must be >= 1")
-        if self.smooth_window_ms <= 0 or self.mwi_window_ms <= 0:
-            raise ConfigError("window durations must be positive")
+        for window in (self.smooth_window_ms, self.mwi_window_ms):
+            if not 0 < window < math.inf:
+                raise ConfigError("window durations must be positive and "
+                                  f"finite, got {window}")
 
 
 @dataclass

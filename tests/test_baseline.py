@@ -208,3 +208,35 @@ def test_scale_invariance(seed):
                                       base.detection.r_peaks)
         assert run.detection.provenance == base.detection.provenance
         np.testing.assert_array_equal(run.r_peaks, base.r_peaks)
+
+
+def test_randomized_refractory_and_coupling():
+    # Acceptance 6's refractory and threshold-coupling properties for the
+    # classic detector, on the same 100 seeded specs (same draws, same
+    # order) as test_criterion_6_randomized_properties.
+    g = np.random.default_rng(20260824)
+    fs = 360.0
+    refractory = ptpp.ms_to_samples(200.0, fs)
+    pipeline_cfg = ptpp.default_pipeline_config("pt")
+    entries = 0
+    for _ in range(100):
+        spec = ptpp.SynthSpec(
+            duration_s=float(g.uniform(8.0, 15.0)),
+            heart_rate_bpm=float(g.uniform(50.0, 150.0)),
+            rr_jitter_frac=float(g.uniform(0.0, 0.2)),
+            qrs_amplitude_mv=float(g.uniform(0.5, 2.0)),
+            noise_snr_db=(float(g.uniform(5.0, 30.0))
+                          if g.random() < 0.5 else None),
+            seed=int(g.integers(0, 2 ** 31)),
+        )
+        x = ptpp.synth_ecg(spec)[0].channels[0].samples
+        trace = []
+        det = ptpp.detect_pt(ptpp.run_pipeline(x, fs, pipeline_cfg), fs,
+                             trace=trace)
+        assert np.all(np.diff(det.r_peaks) >= refractory), spec
+        for _, *states in trace:
+            for st in states:
+                entries += 1
+                assert st.threshold2 == pytest.approx(
+                    0.5 * st.threshold1, rel=1e-12, abs=0.0), spec
+    assert entries > 0

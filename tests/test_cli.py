@@ -12,6 +12,8 @@ from ptpp.cli import (DETECTIONS_HEADER, METRICS_HEADER, POOLED_ROW_ID,
                       resolve_channel)
 from ptpp.io import Channel, Record
 
+from helpers import make_header
+
 
 def read_csv(path):
     with open(path, newline="") as handle:
@@ -410,3 +412,43 @@ class TestDataRoot:
         monkeypatch.setenv("PTPP_DATA_ROOT", str(tmp_path))
         assert main(["detect", "absent.csv"]) == 2
         assert "PTPP_DATA_ROOT" in capsys.readouterr().err
+
+
+class TestNumericInputs:
+    """NaN and out-of-range numbers end in a typed error, not a traceback;
+    inf still switches off the two absolute-time triggers that allow it."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["detect", "{csv}", "--set", "detector.min_peak_separation_ms=nan"],
+         2),
+        (["detect", "{csv}", "--set", "detector.post_peak_blank_ms=inf"], 2),
+        (["detect", "{csv}", "--set", "detector.init_window_s=inf"], 2),
+        (["detect", "{csv}", "--set", "detector.searchback_rr_factor=nan"], 2),
+        (["detect", "{csv}", "--set", "detector.spike_recovery_t2_frac=nan"],
+         2),
+        (["detect", "{csv}", "--set", "pipeline.smooth_window_ms=nan"], 2),
+        (["detect", "{csv}", "--set", "pipeline.mwi_window_ms=inf"], 2),
+        (["detect", "{csv}", "--detector", "pt",
+          "--set", "pt.refractory_ms=nan"], 2),
+        (["detect", "{csv}", "--fs", "nan"], 2),
+        (["detect", "{csv}", "--set", "eval.fs=inf"], 2),
+        (["eval", "{csv}", "--annotations", "{ann}", "--tolerance-ms", "nan"],
+         2),
+        (["eval", "{csv}", "--annotations", "{ann}", "--tolerance-ms", "-5"],
+         2),
+        (["detect", "{nan_hea}"], 3),
+        (["detect", "{inf_hea}"], 3),
+        (["detect", "{csv}", "--set", "detector.searchback_abs_s=inf"], 0),
+        (["detect", "{csv}", "--set", "detector.spike_recovery_s=inf"], 0),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
+    def test_exit_code_without_traceback(self, clean, tmp_path, capsys, argv,
+                                         code):
+        paths = {"csv": clean["csv"], "ann": clean["ann"]}
+        for name, fs in (("nan_hea", "nan"), ("inf_hea", "inf")):
+            header = make_header("r", float(fs), 10,
+                                 ["r.dat 212 200 12 0 0 0 0 MLII"])
+            paths[name] = tmp_path / f"{name}.hea"
+            paths[name].write_text(header)
+        args = [arg.format(**paths) for arg in argv]
+        assert main(args + ["-o", str(tmp_path / "out.csv")]) == code
+        assert "Traceback" not in capsys.readouterr().err
