@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputTooShortError, ProcessingError
 from .pipeline import StageOutputs, ms_to_samples
@@ -29,6 +30,8 @@ from .pipeline import StageOutputs, ms_to_samples
 # Half-width of the window used both to pair a candidate with its band-passed
 # amplitude and to re-localize accepted beats on the raw trace.
 LOCALIZE_HALF_WINDOW_S = 0.075
+# Bytes of windows that localize_rpeaks copies out at once.
+_LOCALIZE_BLOCK_BYTES = 1 << 19
 
 # Provenance tags / rejection reasons used in DetectionResult.
 VIA_THRESHOLD1 = "threshold1"
@@ -446,18 +449,24 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     ``sources``, when given a list, receives for each returned peak the
     index into ``detections`` of the detection it came from.
     """
-    x = np.abs(np.asarray(raw, dtype=np.float64))
-    n = len(x)
+    raw = np.asarray(raw, dtype=np.float64)
+    n = len(raw)
     if n == 0 or len(detections.r_peaks) == 0:
         return np.empty(0, dtype=np.int64)
     total_delay = sum(stage_delays.values())
     w = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
+    # |raw| with w samples of -inf on each side: every centre gets a full
+    # window, the pad never wins, and argmax still picks the first maximum.
+    padded = np.full(n + 2 * w, -np.inf)
+    x = np.abs(raw, out=padded[w:w + n])
+    windows = sliding_window_view(padded, 2 * w + 1)  # windows[c] is c ± w
+    centres = np.clip(np.asarray(detections.r_peaks, dtype=np.int64)
+                      - total_delay, 0, n - 1)
+    block = max(1, _LOCALIZE_BLOCK_BYTES // windows.itemsize // (2 * w + 1))
     mapped: list[int] = []
-    for det in detections.r_peaks:
-        c = min(max(int(det) - total_delay, 0), n - 1)
-        lo = max(0, c - w)
-        hi = min(n, c + w + 1)
-        mapped.append(lo + int(np.argmax(x[lo:hi])))
+    for i in range(0, len(centres), block):
+        c = centres[i:i + block]
+        mapped.extend((c - w + np.argmax(windows[c], axis=1)).tolist())
     kept: list[int] = []  # indices into mapped
     for k, j in enumerate(mapped):
         if not kept or j > mapped[kept[-1]]:

@@ -6,7 +6,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,6 +144,10 @@ class SynthSpec:
         return [float(pair[1]) for pair in self.heart_rate_bpm]
 
     def validate(self) -> None:
+        for name in self.__dataclass_fields__:
+            for value in _floats(getattr(self, name)):
+                if not math.isfinite(value):
+                    raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ConfigError("fs and duration_s must be positive")
         for bpm in self._bpm_values():
@@ -157,6 +161,15 @@ class SynthSpec:
             raise ConfigError("rr_jitter_frac must lie in [0, 0.5)")
         if self.spike is not None and len(self.spike) != 2:
             raise ConfigError("spike must be (time_s, scale)")
+
+
+def _floats(value) -> Iterator[float]:
+    """Every float in a spec field, with schedules and pairs flattened."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _floats(item)
 
 
 def _piecewise(schedule: Sequence, t: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -91,11 +92,69 @@ class AnnotationSet:
 def load_csv(path: str | Path, sampling_rate_hz: float) -> Record:
     """Read a single-channel trace where each line is ``value`` or ``index,value``.
 
+    A well-formed file is parsed by numpy's C reader in one call; anything
+    it cannot take as is goes through the per-line reader, which decides
+    what is accepted and how errors are reported.
+
     Raises:
         ParseError: empty file, malformed line (with its line number) or a
             non-finite sample value.
     """
     path = Path(path)
+    samples = _parse_csv_fast(path)
+    if samples is None:
+        samples = _parse_csv_lines(path)
+    channel = Channel(label="ecg", samples=samples, gain=1.0, baseline=0)
+    return Record(sampling_rate_hz=float(sampling_rate_hz),
+                  channels=[channel], duration_samples=len(samples))
+
+
+def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
+    """Samples of a file with one field count throughout, or None.
+
+    The first non-blank line is read by hand: it is a header when its last
+    field is not a float, as in :func:`_parse_csv_lines`, and its field count
+    is the count every line must have. The rest of the open file goes to one
+    ``np.loadtxt`` call, which parses each field with
+    ``PyOS_string_to_double``, the routine behind ``float()``, so a value it
+    reads has the same bytes. None means the per-line reader must decide:
+    numpy refused a line, the field count changed, or a sample is missing or
+    non-finite.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.strip().split(",")
+            if fields != [""]:
+                break
+        else:
+            return None
+        if len(fields) > 2:
+            return None
+        try:
+            float(fields[-1])
+        except ValueError:
+            pass  # a header row: numpy reads on from the next line
+        else:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # A header-only file leaves numpy nothing; that is a miss,
+                # not something to warn about.
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", comments=None,
+                                  dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    samples = rows[:, -1]
+    if (rows.shape[1] != len(fields) or not len(samples)
+            or not np.isfinite(samples).all()):
+        return None
+    return np.ascontiguousarray(samples)
+
+
+def _parse_csv_lines(path: Path) -> np.ndarray:
+    """The per-line reader: slow, lenient where ``float()`` is, exact errors."""
     values = []
     first_content_line = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -122,10 +181,7 @@ def load_csv(path: str | Path, sampling_rate_hz: float) -> Record:
             values.append(value)
     if not values:
         raise ParseError(f"{path}: no samples found")
-    samples = np.asarray(values, dtype=np.float64)
-    channel = Channel(label="ecg", samples=samples, gain=1.0, baseline=0)
-    return Record(sampling_rate_hz=float(sampling_rate_hz),
-                  channels=[channel], duration_samples=len(samples))
+    return np.asarray(values, dtype=np.float64)
 
 
 _GAIN_RE = re.compile(r"^([-+0-9.eE]+)(?:\(([-+]?\d+)\))?(?:/(\S*))?$")

@@ -3,12 +3,14 @@
 Holds the frozen synthetic stress-scenario recipes used by both the
 comparative detector tests and the acceptance suite, independent
 re-implementations of the WFDB byte formats (used as oracles against the
-parsers in :mod:`ptpp.io`), and the locator for the optional real-record
-spot check.
+parsers in :mod:`ptpp.io`), the per-line loops that ``load_csv`` and
+``localize_rpeaks`` replaced (oracles for their vectorised forms), and the
+locator for the optional real-record spot check.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -167,6 +169,66 @@ def make_header(record_name: str, fs: float, n_samples: int,
     lines = [f"{record_name} {len(channel_lines)} {fs:g} {n_samples}"]
     lines.extend(channel_lines)
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Per-line reference implementations (oracles).
+
+def load_csv_reference(path: str | Path) -> np.ndarray:
+    """The samples ``ptpp.load_csv`` read with its original per-line loop."""
+    path = Path(path)
+    values = []
+    first_content_line = True
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) > 2:
+                raise ptpp.ParseError(f"{path}: line {lineno}: expected "
+                                      f"'value' or 'index,value', got {line!r}")
+            try:
+                value = float(fields[-1])
+            except ValueError:
+                if first_content_line:  # a column-header row is fine
+                    first_content_line = False
+                    continue
+                raise ptpp.ParseError(
+                    f"{path}: line {lineno}: not a number: {fields[-1]!r}"
+                ) from None
+            first_content_line = False
+            if not math.isfinite(value):
+                raise ptpp.ParseError(
+                    f"{path}: line {lineno}: non-finite sample")
+            values.append(value)
+    if not values:
+        raise ptpp.ParseError(f"{path}: no samples found")
+    return np.asarray(values, dtype=np.float64)
+
+
+def localize_reference(raw, r_peaks, total_delay: int, fs: float):
+    """``ptpp.localize_rpeaks`` as its original loop: (peaks, sources)."""
+    x = np.abs(np.asarray(raw, dtype=np.float64))
+    n = len(x)
+    if n == 0 or len(r_peaks) == 0:
+        return np.empty(0, dtype=np.int64), []
+    w = ptpp.ms_to_samples(75.0, fs)
+    mapped: list[int] = []
+    for det in r_peaks:
+        c = min(max(int(det) - total_delay, 0), n - 1)
+        lo = max(0, c - w)
+        hi = min(n, c + w + 1)
+        mapped.append(lo + int(np.argmax(x[lo:hi])))
+    kept: list[int] = []  # indices into mapped
+    for k, j in enumerate(mapped):
+        if not kept or j > mapped[kept[-1]]:
+            kept.append(k)
+            continue
+        floor = mapped[kept[-2]] if len(kept) > 1 else -1
+        if x[j] > x[mapped[kept[-1]]] and j > floor:
+            kept[-1] = k
+    return np.asarray([mapped[k] for k in kept], dtype=np.int64), kept
 
 
 # ---------------------------------------------------------------------------

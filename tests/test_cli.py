@@ -132,6 +132,17 @@ class TestSynthCommand:
         spec = write_spec(tmp_path / "s.json", durationn_s=10.0)
         assert main(["synth", spec, "-o", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        '{"fs": NaN}', '{"duration_s": Infinity}', '{"qrs_width_ms": Infinity}',
+        '{"noise_snr_db": NaN}', '{"heart_rate_bpm": [[0, 60], [NaN, 70]]}',
+        '{"spike": [1.0, -Infinity]}'])
+    def test_non_finite_spec_is_config_error(self, tmp_path, capsys, spec):
+        path = tmp_path / "s.json"
+        path.write_text(spec)
+        assert main(["synth", str(path), "-o", str(tmp_path / "x")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestDetectCommand:
     def test_perfect_on_clean_record(self, clean, tmp_path):

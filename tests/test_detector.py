@@ -6,6 +6,8 @@ equal to or deliberately different from the integrated channel) so each
 branch fires in a controlled, verifiable way.
 """
 
+from unittest import mock
+
 import hypothesis
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -15,6 +17,8 @@ import pytest
 import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, RrTracker,
                            VIA_SEARCHBACK, VIA_SPIKE_RECOVERY, VIA_THRESHOLD1)
+
+from helpers import localize_reference
 
 FS = 100.0  # scenario rate: 231 ms -> 23 samples, 360 ms -> 36, 70 ms -> 7
 
@@ -393,6 +397,31 @@ class TestLocalize:
         out = ptpp.localize_rpeaks(np.zeros(10), self._result([]),
                                    zero_delays(), FS)
         assert len(out) == 0
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        # Sparse arrays of few distinct levels make ties common, all-zero
+        # windows included; NaN and inf must land where the loop's argmax
+        # put them.
+        raw=hnp.arrays(np.float64, st.integers(1, 400),
+                       elements=st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0,
+                                                 np.nan, np.inf]),
+                       fill=st.just(0.0)),
+        dets=st.lists(st.integers(-50, 500), max_size=40),
+        delay=st.integers(0, 60),
+        fs=st.sampled_from([FS, 360.0, 1000.0]),
+        block_bytes=st.sampled_from([1, 200, 1 << 19]))
+    def test_matches_per_detection_loop(self, raw, dets, delay, fs,
+                                        block_bytes):
+        delays = dict(zero_delays(), mwi=delay)
+        sources: list[int] = []
+        with mock.patch.object(ptpp.detector, "_LOCALIZE_BLOCK_BYTES",
+                               block_bytes):
+            out = ptpp.localize_rpeaks(raw, self._result(sorted(dets)), delays,
+                                       fs, sources=sources)
+        peaks, kept = localize_reference(raw, sorted(dets), delay, fs)
+        np.testing.assert_array_equal(out, peaks)
+        assert sources == kept
 
     def test_end_to_end_apex_within_two_samples(self):
         record, truth = ptpp.synth_ecg(

@@ -2,16 +2,26 @@
 
 The format-212 and annotation-stream tests check the parsers against
 independent encoders in ``helpers`` rather than against the parsers' own
-inverse, so a packing mistake cannot cancel itself out.
+inverse, so a packing mistake cannot cancel itself out. The CSV reader is
+checked against its original per-line loop the same way.
 """
 
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
 import ptpp
+import ptpp.io
 from ptpp.io import BEAT_CODE_BY_SYMBOL
 
-from helpers import AtrStream, atr_word, encode212, make_header, sign_extend_12
+from helpers import (AtrStream, atr_word, encode212, load_csv_reference,
+                     make_header, sign_extend_12)
 
 GOLDEN_100_HEA = """\
 100 2 360 650000 0:0:0 0/0/0
@@ -82,6 +92,119 @@ class TestLoadCsv:
         ptpp.save_csv(rec, p)
         again = ptpp.load_csv(p, 360.0)
         np.testing.assert_array_equal(again.channels[0].samples, samples)
+
+
+# Lines numpy's reader refuses where float() does not, lines both refuse,
+# lines that change the field count and odd lines both read; each file must
+# end as the per-line loop ends it.
+_CSV_ODD_LINES = [
+    "sample_index,value", "value", "time,ecg", "", "   ", "\t", "1,2,3",
+    "abc,1", "1_0", "0,1_0", "\u0661", "nan", "inf", "-inf", "1e400", "#x",
+    "\x1c", "1\x1c", "\xa0", "\xa02.5", "\ufeff1", "5,", ",5", "0.5",
+    "7,0.5", " 2.5 ", "+1.5", "1E5", ".5", "Infinity",
+]
+_CSV_HEADERS = ["sample_index,value", "value", "\ufeffsample_index,value"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed CSV text with odd lines mixed in at random."""
+    two_fields = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(_CSV_HEADERS)))
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(_CSV_ODD_LINES)))
+        else:
+            value = draw(st.floats(allow_nan=False, allow_infinity=False))
+            lines.append(f"{i},{value!r}" if two_fields else repr(value))
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    if draw(st.booleans()):
+        endings = st.just(draw(endings))
+    text = "".join(line + draw(endings) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _read_either(reader, path):
+    try:
+        return reader(path).tobytes()
+    except ptpp.ParseError as exc:
+        return str(exc)
+
+
+def _load_samples(path):
+    return ptpp.load_csv(path, 360.0).channels[0].samples
+
+
+class TestLoadCsvOracle:
+    """``load_csv`` against its original per-line loop: same sample bytes or
+    the same ParseError message, and nothing else escapes, warnings included.
+    """
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(text=csv_texts())
+    def test_matches_per_line_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            expected = _read_either(load_csv_reference, path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = _read_either(_load_samples, path)
+        assert got == expected
+
+    @pytest.mark.parametrize("text", [
+        "", "sample_index,value\n", "0.5", "0,0.5\n", "\n\n0.5\n\n",
+        "sample_index,value\n1,2,3\n", "value\n1,2,3\n4,5,6\n",
+        "value\n0,1\n1,2\n", "sample_index,value\n1\n2\n",
+    ])
+    def test_edge_files_raise_no_warning(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (_read_either(_load_samples, path)
+                    == _read_either(load_csv_reference, path))
+
+    @pytest.mark.parametrize("text", [
+        "sample_index,value\n0,0.5\n1,-0.25\n2,1e-05\n",
+        "sample_index,value\r\n0,0.5\r\n1,-0.25\r\n",
+        "0,0.5\n1,-0.25\n",
+        "0.5\n-0.25\n\n3\n",
+        "value\n0.5\n-0.25\n",
+        "\n0.5\n",
+    ])
+    def test_well_formed_files_skip_the_line_loop(self, tmp_path, monkeypatch,
+                                                  text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_csv_reference(path)
+
+        def refuse(path):
+            raise AssertionError("fell back to the per-line loop")
+
+        monkeypatch.setattr(ptpp.io, "_parse_csv_lines", refuse)
+        assert _load_samples(path).tobytes() == expected.tobytes()
+
+    def test_peak_memory_below_per_line_loop(self, tmp_path):
+        # A 10-minute record at 360 Hz in the layout save_csv writes.
+        values = np.random.default_rng(0).standard_normal(216_000)
+        path = tmp_path / "long.csv"
+        path.write_text("sample_index,value\n" + "".join(
+            f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+        peaks = []
+        for reader in (_load_samples, load_csv_reference):
+            tracemalloc.start()
+            try:
+                reader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        fast, loop = peaks
+        assert fast < loop
 
 
 # ---------------------------------------------------------------------------
