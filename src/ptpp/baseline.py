@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .detector import (
     DetectionResult,
     DetectorConfig,
+    ThresholdState,
     _decide,
-    _Levels,
     _Policy,
     find_candidates,
 )
@@ -81,7 +81,7 @@ def detect_pt(stages: StageOutputs, fs: float,
         twave_rr_mean_frac=0.0,
         halve_band=(cfg.rr_low_frac, cfg.rr_high_frac),
         searchback_tag=VIA_SEARCHBACK_T2,
-        searchback_bar=lambda levels, meansb: levels.threshold2,
-        insert_rule=_Levels.signal,
+        searchback_bar=lambda state, meansb: state.threshold2,
+        insert_rule=ThresholdState.signal,
     )
     return _decide(stages, fs, candidates, shared, policy, trace)

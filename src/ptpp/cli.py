@@ -8,7 +8,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,7 +20,7 @@ from .errors import ConfigError, ParseError, PtppError
 from .evaluation import (SynthSpec, match_beats, metrics, synth_ecg,
                          time_detector, timed_call)
 from .io import (AnnotationSet, Record, load_annotations, load_csv,
-                 load_wfdb_record, save_annotations, save_csv)
+                 load_wfdb_record, read_text, save_annotations, save_csv)
 from .pipeline import PipelineConfig, run_pipeline
 from .runner import DETECTORS, default_pipeline_config, run_detector
 
@@ -43,26 +43,6 @@ _SECTION_DEFAULTS = {
     "pt": PtConfig,
 }
 _EVAL_KEYS = {"tolerance_ms", "dataset", "fs"}
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs, after flag parsing."""
-
-    command: str
-    records: list[str] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
-    channel: Optional[str] = None
-    detector: str = "ptpp"
-    tolerance_ms: Optional[float] = None
-    output: Optional[str] = None
-    disagreements: Optional[str] = None
-    config_file: Optional[str] = None
-    overrides: list[str] = field(default_factory=list)
-    fs: Optional[float] = None
-    dataset: Optional[str] = None
-    repeats: int = 5
-    spec_file: Optional[str] = None
 
 
 # --------------------------------------------------------------------------
@@ -133,14 +113,14 @@ def _apply_section(cfg, section: str, pairs: dict[str, str]):
     return cfg
 
 
-def gather_overrides(config: RunConfig) -> dict[str, str]:
+def gather_overrides(args: argparse.Namespace) -> dict[str, str]:
     """File pairs first, then --set pairs on top."""
     pairs: dict[str, str] = {}
-    if config.config_file:
-        path = _resolve_input(config.config_file)
-        pairs.update(parse_config_text(path.read_text(encoding="utf-8"),
+    if args.config_file:
+        path = _resolve_input(args.config_file)
+        pairs.update(parse_config_text(read_text(path, ConfigError),
                                        source=str(path)))
-    for item in config.overrides:
+    for item in args.overrides:
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -172,11 +152,11 @@ def _resolve_input(path_str: str) -> Path:
     raise ConfigError(f"input file not found: {path_str}{hint}")
 
 
-def _open_record(path_str: str, config: RunConfig,
+def _open_record(path_str: str, args: argparse.Namespace,
                  pairs: dict[str, str]) -> tuple[Path, Record, int]:
     """The resolved path, decoded record and channel index of one record."""
     path = _resolve_input(path_str)
-    fs_hint = _eval_opt(pairs, "fs", config.fs, 360.0)
+    fs_hint = _eval_opt(pairs, "fs", args.fs, 360.0)
     suffix = path.suffix.lower()
     if suffix == ".hea":
         record = load_wfdb_record(path)
@@ -185,7 +165,7 @@ def _open_record(path_str: str, config: RunConfig,
     else:
         raise ParseError(f"cannot infer record format from '{path.name}' "
                          "(expected .hea, .csv or .txt)")
-    return path, record, resolve_channel(record, config.channel)
+    return path, record, resolve_channel(record, args.channel)
 
 
 def resolve_channel(record: Record, selector: Optional[str]) -> int:
@@ -214,20 +194,23 @@ def resolve_channel(record: Record, selector: Optional[str]) -> int:
                       f"available: {labels}")
 
 
-def _annotation_paths(config: RunConfig) -> list[Path]:
-    if config.annotations:
-        if len(config.annotations) != len(config.records):
+def _annotation_paths(args: argparse.Namespace) -> list[Path]:
+    if args.annotations:
+        if len(args.annotations) != len(args.records):
             raise ConfigError(
-                f"got {len(config.records)} record(s) but "
-                f"{len(config.annotations)} annotation file(s)")
-        return [_resolve_input(a) for a in config.annotations]
+                f"got {len(args.records)} record(s) but "
+                f"{len(args.annotations)} annotation file(s)")
+        return [_resolve_input(a) for a in args.annotations]
     derived = []
-    for rec in config.records:
+    for rec in args.records:
         base = Path(rec)
         found = None
         for suffix in (".atr", ".ann", ".txt"):
+            sibling = base.with_suffix(suffix)
+            if sibling == base:  # a .txt record is not its own annotations
+                continue
             try:
-                found = _resolve_input(str(base.with_suffix(suffix)))
+                found = _resolve_input(str(sibling))
                 break
             except ConfigError:
                 continue
@@ -285,45 +268,45 @@ def _timed_peaks(detector: str, samples: np.ndarray, fs: float,
     return run.r_peaks, elapsed
 
 
-def _cmd_detect(config: RunConfig, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(config.records[0], config, pairs)
+def _cmd_detect(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    path, record, channel = _open_record(args.records[0], args, pairs)
     fs = record.sampling_rate_hz
-    run = run_detector(config.detector, record.channels[channel].samples, fs,
-                       **_configs_for(config.detector, pairs))
+    run = run_detector(args.detector, record.channels[channel].samples, fs,
+                       **_configs_for(args.detector, pairs))
     rows = []
     for raw_index, tag in zip(run.r_peaks, run.provenance):
         rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
-    out = Path(config.output or f"{path.stem}.detections.csv")
+    out = Path(args.output or f"{path.stem}.detections.csv")
     _write_csv(out, DETECTIONS_HEADER, rows)
     print(f"{len(rows)} detections -> {out}")
     return 0
 
 
-def _cmd_stages(config: RunConfig, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(config.records[0], config, pairs)
-    pipeline_cfg = _configs_for(config.detector, pairs)["pipeline_cfg"]
+def _cmd_stages(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    path, record, channel = _open_record(args.records[0], args, pairs)
+    pipeline_cfg = _configs_for(args.detector, pairs)["pipeline_cfg"]
     samples = record.channels[channel].samples
     stages = run_pipeline(samples, record.sampling_rate_hz, pipeline_cfg)
     rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
              repr(float(stages.derived[i])), repr(float(stages.squared[i])),
              repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
             for i in range(len(samples)))
-    out = Path(config.output or f"{path.stem}.stages.csv")
+    out = Path(args.output or f"{path.stem}.stages.csv")
     _write_csv(out, STAGES_HEADER, rows)
     print(f"{len(samples)} samples x 6 stages -> {out}")
     return 0
 
 
-def _evaluate(detectors: Sequence[str], config: RunConfig,
+def _evaluate(detectors: Sequence[str], args: argparse.Namespace,
               pairs: dict[str, str]):
     """Shared machinery for eval/compare: per-record rows + pooled rows.
     Each record is read once; of a detector run only its peaks live on."""
-    tolerance = _eval_opt(pairs, "tolerance_ms", config.tolerance_ms, 100.0)
-    dataset = _eval_opt(pairs, "dataset", config.dataset, "local")
+    tolerance = _eval_opt(pairs, "tolerance_ms", args.tolerance_ms, 100.0)
+    dataset = _eval_opt(pairs, "dataset", args.dataset, "local")
     kept: dict[str, list] = {d: [] for d in detectors}  # (stem, fs, peaks)
     timed_reports: dict[str, list] = {d: [] for d in detectors}
-    for rec_str, ann_path in zip(config.records, _annotation_paths(config)):
-        path, record, channel = _open_record(rec_str, config, pairs)
+    for rec_str, ann_path in zip(args.records, _annotation_paths(args)):
+        path, record, channel = _open_record(rec_str, args, pairs)
         reference = load_annotations(ann_path)
         samples, fs = record.channels[channel].samples, record.sampling_rate_hz
         for detector in detectors:
@@ -344,17 +327,17 @@ def _evaluate(detectors: Sequence[str], config: RunConfig,
     return rows, kept, tolerance
 
 
-def _cmd_eval(config: RunConfig, pairs: dict[str, str]) -> int:
-    rows, _, _ = _evaluate([config.detector], config, pairs)
-    out = Path(config.output or "metrics.csv")
+def _cmd_eval(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    rows, _, _ = _evaluate([args.detector], args, pairs)
+    out = Path(args.output or "metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
     print(f"{len(rows)} metric rows -> {out}")
     return 0
 
 
-def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
-    rows, kept, tolerance = _evaluate(list(DETECTORS), config, pairs)
-    out = Path(config.output or "compare_metrics.csv")
+def _cmd_compare(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    rows, kept, tolerance = _evaluate(list(DETECTORS), args, pairs)
+    out = Path(args.output or "compare_metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
 
     disagreement_rows = []
@@ -373,7 +356,7 @@ def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
                 disagreement_rows.append(
                     [rec_id, int(idx), repr(float(idx / fs)), "pt"])
     disagreement_rows.sort(key=lambda row: (row[0], row[1]))
-    dis_out = (Path(config.disagreements) if config.disagreements
+    dis_out = (Path(args.disagreements) if args.disagreements
                else out.with_name(out.stem + "_disagreements.csv"))
     _write_csv(dis_out, ["record", "sample_index", "time_s", "present_in"],
                disagreement_rows)
@@ -382,18 +365,18 @@ def _cmd_compare(config: RunConfig, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_bench(config: RunConfig, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(config.records[0], config, pairs)
+def _cmd_bench(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    path, record, channel = _open_record(args.records[0], args, pairs)
     rows, medians = [], {}
     for detector in DETECTORS:
         median_s = time_detector(detector, record, channel=channel,
-                                 repeats=config.repeats,
+                                 repeats=args.repeats,
                                  **_configs_for(detector, pairs))
         medians[detector] = median_s
         rows.append([detector, path.stem, record.duration_samples,
                      repr(record.sampling_rate_hz), f"{median_s:.4f}",
-                     max(5, config.repeats), "serialized-single-thread"])
-    out = Path(config.output or "bench.csv")
+                     max(5, args.repeats), "serialized-single-thread"])
+    out = Path(args.output or "bench.csv")
     _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
                      "median_s", "runs", "note"], rows)
     ratio = medians["ptpp"] / medians["pt"] if medians["pt"] > 0 else float("inf")
@@ -402,10 +385,10 @@ def _cmd_bench(config: RunConfig, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_synth(config: RunConfig, pairs: dict[str, str]) -> int:
-    spec_path = _resolve_input(config.spec_file)
+def _cmd_synth(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+    spec_path = _resolve_input(args.spec_file)
     try:
-        raw = json.loads(spec_path.read_text(encoding="utf-8"))
+        raw = json.loads(read_text(spec_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{spec_path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -414,7 +397,7 @@ def _cmd_synth(config: RunConfig, pairs: dict[str, str]) -> int:
         raw["spike"] = tuple(raw["spike"])
     spec = SynthSpec.from_dict(raw)
     record, annotations = synth_ecg(spec)
-    stem = Path(config.output or spec_path.stem)
+    stem = Path(args.output or spec_path.stem)
     csv_path = stem.with_suffix(".csv")
     ann_path = stem.with_suffix(".ann")
     save_csv(record, csv_path)
@@ -423,26 +406,6 @@ def _cmd_synth(config: RunConfig, pairs: dict[str, str]) -> int:
           f"{record.duration_samples} samples at {record.sampling_rate_hz:g} Hz "
           f"-> {csv_path}, {ann_path}")
     return 0
-
-
-_COMMANDS = {
-    "detect": _cmd_detect,
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
-    "stages": _cmd_stages,
-    "bench": _cmd_bench,
-    "synth": _cmd_synth,
-}
-
-
-def run(config: RunConfig) -> int:
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"unknown command '{config.command}'")
-    if config.detector not in DETECTORS:
-        raise ConfigError(f"unknown detector '{config.detector}' "
-                          f"(expected one of {DETECTORS})")
-    pairs = gather_overrides(config)
-    return _COMMANDS[config.command](config, pairs)
 
 
 # --------------------------------------------------------------------------
@@ -475,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect = commands.add_parser("detect", help="write a detection CSV")
     _add_common(detect, record_nargs=1)
     detect.add_argument("--detector", choices=DETECTORS, default="ptpp")
+    detect.set_defaults(handler=_cmd_detect)
 
     evaluate = commands.add_parser(
         "eval", help="score detections against annotations")
@@ -486,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: sibling .atr/.ann/.txt)")
     evaluate.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
     evaluate.add_argument("--dataset", help="dataset label for the report")
+    evaluate.set_defaults(handler=_cmd_eval)
 
     compare = commands.add_parser(
         "compare", help="run both detectors and report side by side")
@@ -497,16 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--disagreements", metavar="FILE",
                          help="where to write the per-record disagreement "
                               "list")
+    compare.set_defaults(handler=_cmd_compare)
 
     stages = commands.add_parser(
         "stages", help="dump every pipeline stage for one record")
     _add_common(stages, record_nargs=1)
     stages.add_argument("--detector", choices=DETECTORS, default="ptpp")
+    stages.set_defaults(handler=_cmd_stages)
 
     bench = commands.add_parser(
         "bench", help="time both detectors on one record")
     _add_common(bench, record_nargs=1)
     bench.add_argument("--repeats", type=int, default=5)
+    bench.set_defaults(handler=_cmd_bench)
 
     synth = commands.add_parser(
         "synth", help="render a synthetic record from a JSON spec")
@@ -516,13 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=argparse.SUPPRESS)
     synth.add_argument("--output", "-o",
                        help="output stem (writes <stem>.csv and <stem>.ann)")
+    synth.set_defaults(handler=_cmd_synth)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f.name for f in dataclass_fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in known and v is not None}
-    return RunConfig(**values)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -531,7 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(config_from_args(args))
+        return args.handler(args, gather_overrides(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

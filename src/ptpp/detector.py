@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,12 +42,14 @@ REJECT_TWAVE = "t_wave"
 REJECT_REFRACTORY = "refractory"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ThresholdState:
     """Running signal/noise peak estimates and the thresholds they imply.
 
     ``threshold2 = t2_ratio * threshold1`` after every recompute; the ratio is
-    0.4 here and 0.5 for the classic detector.
+    0.4 here and 0.5 for the classic detector. The decision loop updates one
+    state per channel in place, so a state is mutable and unhashable; the
+    public rules (:func:`update_rule1`, :func:`update_rule2`) return a copy.
     """
 
     spk: float
@@ -55,6 +57,33 @@ class ThresholdState:
     threshold1: float
     threshold2: float
     t2_ratio: float = 0.4
+
+    def _recompute(self, peak: float, spk: float, npk: float) -> None:
+        if peak < 0:
+            raise ProcessingError(f"peak amplitude must be >= 0, got {peak}")
+        self.spk = spk
+        self.npk = npk
+        self.threshold1 = npk + 0.25 * (spk - npk)
+        self.threshold2 = self.t2_ratio * self.threshold1
+
+    def signal(self, peak: float) -> None:  # Rule 1, signal peak
+        self._recompute(peak, 0.125 * peak + 0.875 * self.spk, self.npk)
+
+    def noise(self, peak: float) -> None:  # Rule 1, noise peak
+        self._recompute(peak, self.spk, 0.125 * peak + 0.875 * self.npk)
+
+    def fast(self, peak: float) -> None:  # Rule 2
+        self._recompute(peak, 0.75 * peak + 0.25 * self.spk,
+                        0.75 * peak + 0.25 * self.npk)
+
+    def halve(self) -> None:
+        self.threshold1 = 0.5 * self.threshold1
+        self.threshold2 = self.t2_ratio * self.threshold1
+
+    def threshold3(self, meansb: float) -> float:
+        if meansb < 0:
+            raise ProcessingError(f"meansb must be >= 0, got {meansb}")
+        return 0.5 * self.threshold2 + 0.5 * meansb
 
 
 # Absolute-time triggers that accept math.inf as "off".
@@ -177,71 +206,26 @@ def init_thresholds(channel_signal: np.ndarray, fs: float,
                           t2_ratio=t2_ratio)
 
 
-class _Levels:
-    """One channel's running estimates and thresholds as plain floats, which
-    the decision loop updates in place; the public rules copy a state in."""
-
-    __slots__ = ("spk", "npk", "threshold1", "threshold2", "t2_ratio")
-
-    def __init__(self, state: ThresholdState):
-        self.spk = state.spk
-        self.npk = state.npk
-        self.threshold1 = state.threshold1
-        self.threshold2 = state.threshold2
-        self.t2_ratio = state.t2_ratio
-
-    def state(self) -> ThresholdState:
-        return ThresholdState(self.spk, self.npk, self.threshold1,
-                              self.threshold2, self.t2_ratio)
-
-    def _recompute(self, peak: float, spk: float, npk: float) -> None:
-        if peak < 0:
-            raise ProcessingError(f"peak amplitude must be >= 0, got {peak}")
-        self.spk = spk
-        self.npk = npk
-        self.threshold1 = npk + 0.25 * (spk - npk)
-        self.threshold2 = self.t2_ratio * self.threshold1
-
-    def signal(self, peak: float) -> None:  # Rule 1, signal peak
-        self._recompute(peak, 0.125 * peak + 0.875 * self.spk, self.npk)
-
-    def noise(self, peak: float) -> None:  # Rule 1, noise peak
-        self._recompute(peak, self.spk, 0.125 * peak + 0.875 * self.npk)
-
-    def fast(self, peak: float) -> None:  # Rule 2
-        self._recompute(peak, 0.75 * peak + 0.25 * self.spk,
-                        0.75 * peak + 0.25 * self.npk)
-
-    def halve(self) -> None:
-        self.threshold1 = 0.5 * self.threshold1
-        self.threshold2 = self.t2_ratio * self.threshold1
-
-    def threshold3(self, meansb: float) -> float:
-        if meansb < 0:
-            raise ProcessingError(f"meansb must be >= 0, got {meansb}")
-        return 0.5 * self.threshold2 + 0.5 * meansb
-
-
 def update_rule1(state: ThresholdState, peak: float,
                  is_signal: bool) -> ThresholdState:
     """Slow running-estimate update: 0.125·peak + 0.875·previous."""
-    levels = _Levels(state)
-    (levels.signal if is_signal else levels.noise)(peak)
-    return levels.state()
+    new = replace(state)
+    (new.signal if is_signal else new.noise)(peak)
+    return new
 
 
 def update_rule2(state: ThresholdState, peak: float) -> ThresholdState:
     """Fast adaptation after a search-back find: both estimates are pulled
     three quarters of the way toward the new peak."""
-    levels = _Levels(state)
-    levels.fast(peak)
-    return levels.state()
+    new = replace(state)
+    new.fast(peak)
+    return new
 
 
 def threshold3(state: ThresholdState, meansb: float) -> float:
     """Search-back threshold: halfway between threshold2 and the mean of the
     surrounding peak amplitudes."""
-    return _Levels(state).threshold3(meansb)
+    return state.threshold3(meansb)
 
 
 def mean_slope(filtered: np.ndarray, idx: int, fs: float,
@@ -269,8 +253,8 @@ class _Policy:
     halve_band: tuple[float, float]  # RR outside this × rr_mean halves
     searchback_tag: str
     # (integrated channel, mean surrounding amplitude) -> search-back bar
-    searchback_bar: Callable[[_Levels, float], float]
-    insert_rule: Callable[[_Levels, float], None]  # adapts to a find
+    searchback_bar: Callable[[ThresholdState, float], float]
+    insert_rule: Callable[[ThresholdState, float], None]  # adapts to a find
 
 
 def _samples(seconds: float, fs: float) -> float:
@@ -290,7 +274,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     align = (delays.get("derivative", 0) + delays.get("smooth", 0)
              + delays.get("mwi", 0))
     amplitudes = [lambda i: float(integ[i])]
-    levels = [_Levels(init_thresholds(integ, fs, cfg, p.t2_ratio))]
+    levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
     if p.band_channel:
         abs_filt = np.abs(filt)
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
@@ -300,7 +284,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             lo = max(0, c - half_win)
             return float(abs_filt[lo:min(n, c + half_win + 1)].max())
         amplitudes.append(filtered_peak)
-        levels.append(_Levels(init_thresholds(abs_filt, fs, cfg, p.t2_ratio)))
+        levels.append(init_thresholds(abs_filt, fs, cfg, p.t2_ratio))
     lead = levels[0]
 
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
@@ -343,7 +327,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         if rr is not None and rr < min_sep:
             reject(i, REJECT_REFRACTORY, peaks)
             if trace is not None:
-                trace.append((i, *[lv.state() for lv in levels]))
+                trace.append((i, *[replace(lv) for lv in levels]))
             continue
 
         passes_amp = all(peak > lv.threshold1
@@ -391,7 +375,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             reject(i, REJECT_BELOW, peaks)
 
         if trace is not None:
-            trace.append((i, *[lv.state() for lv in levels]))
+            trace.append((i, *[replace(lv) for lv in levels]))
 
     return DetectionResult(r_peaks=np.asarray(beat_idx, dtype=np.int64),
                            provenance=provenance, rejected=rejected)
@@ -403,8 +387,8 @@ _PTPP_POLICY = _Policy(
     twave_rr_mean_frac=0.5,
     halve_band=(0.0, math.inf),
     searchback_tag=VIA_SEARCHBACK,
-    searchback_bar=_Levels.threshold3,
-    insert_rule=_Levels.fast,
+    searchback_bar=ThresholdState.threshold3,
+    insert_rule=ThresholdState.fast,
 )
 
 

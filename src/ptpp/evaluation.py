@@ -150,6 +150,13 @@ class SynthSpec:
                     raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ConfigError("fs and duration_s must be positive")
+        n = self.duration_s * self.fs
+        if not (math.isfinite(n) and round(n) >= 1):
+            raise ConfigError(f"duration_s * fs must round to a finite "
+                              f"sample count >= 1, got {n!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, "
+                              f"got {self.seed!r}")
         for bpm in self._bpm_values():
             if not 20.0 < bpm <= 260.0:
                 raise ConfigError(f"heart rate {bpm} outside (20, 260] bpm")

@@ -8,6 +8,7 @@ gain/baseline so downstream stages never see raw ADC counts.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import math
 import re
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedFormatError
+from .errors import ParseError, PtppError, UnsupportedFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -97,16 +98,50 @@ def load_csv(path: str | Path, sampling_rate_hz: float) -> Record:
     what is accepted and how errors are reported.
 
     Raises:
-        ParseError: empty file, malformed line (with its line number) or a
-            non-finite sample value.
+        ParseError: empty file, malformed line (with its line number), a
+            non-finite sample value or bytes that are not UTF-8.
     """
     path = Path(path)
-    samples = _parse_csv_fast(path)
-    if samples is None:
-        samples = _parse_csv_lines(path)
+    try:  # the C path takes a decode error for a miss, so map it here
+        samples = _parse_csv_fast(path)
+        if samples is None:
+            samples = _parse_csv_lines(path)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     channel = Channel(label="ecg", samples=samples, gain=1.0, baseline=0)
     return Record(sampling_rate_hz=float(sampling_rate_hz),
                   channels=[channel], duration_samples=len(samples))
+
+
+def _not_utf8(path: str | Path,
+             error: type[PtppError] = ParseError) -> PtppError:
+    """``error`` for a text file that failed to decode, naming the file
+    offset of its first byte that is not UTF-8. A text reader decodes in
+    chunks and reports offsets within one, so the file is decoded again."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            held = len(decoder.getstate()[0])  # a character split by the read
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                offset += exc.start - held
+                break
+            if not block:
+                break
+            offset += len(block)
+    return error(f"{path}: byte {offset}: not UTF-8 text")
+
+
+def read_text(path: str | Path, error: type[PtppError] = ParseError) -> str:
+    """A whole UTF-8 text file; other bytes raise ``error`` (see
+    :func:`_not_utf8`)."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _not_utf8(path, error) from None
 
 
 def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
@@ -351,7 +386,7 @@ def load_wfdb_record(header_path: str | Path) -> Record:
     header_path = Path(header_path)
     if header_path.suffix != ".hea":
         header_path = header_path.with_suffix(".hea")
-    header = parse_wfdb_header(header_path.read_text(encoding="utf-8"),
+    header = parse_wfdb_header(read_text(header_path),
                                source=str(header_path))
     file_names = {ch.file_name for ch in header.channels}
     if len(file_names) != 1:
@@ -465,7 +500,10 @@ def load_annotations(path: str | Path, format: str = "auto",
     if format == "auto":
         format = "wfdb_atr" if path.suffix in (".atr", ".qrs") else "plain_text"
     if format == "plain_text":
-        return _load_plain_annotations(path)
+        try:
+            return _load_plain_annotations(path)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     if format == "wfdb_atr":
         unknown_symbols = set(beat_symbols) - set(BEAT_CODE_BY_SYMBOL)
         if unknown_symbols:

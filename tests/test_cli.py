@@ -144,6 +144,20 @@ class TestSynthCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize("spec", [
+        '{"duration_s": 1e308}', '{"fs": 1e-300}', '{"seed": 1.5}',
+        '{"seed": "a"}', '{"seed": -1}'])
+    def test_unrenderable_spec_is_config_error(self, tmp_path, capsys, spec):
+        # 1e308 s and 1e-300 Hz round to no finite sample count >= 1; the
+        # seed must be an integer >= 0. Large finite durations would allocate.
+        path = tmp_path / "s.json"
+        path.write_text(spec)
+        assert main(["synth", str(path), "-o", str(tmp_path / "x")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.ann").exists()
+
+
 class TestDetectCommand:
     def test_perfect_on_clean_record(self, clean, tmp_path):
         out = tmp_path / "det.csv"
@@ -285,6 +299,15 @@ class TestEvalCommand:
         lonely.write_text("".join(f"{v}\n" for v in np.zeros(4000)))
         assert main(["eval", str(lonely), "--fs", "360",
                      "-o", str(tmp_path / "m.csv")]) == 2
+
+    def test_sibling_search_skips_the_record_itself(self, clean, tmp_path,
+                                                    capsys):
+        rec = tmp_path / "rec.txt"
+        rec.write_bytes(open(clean["csv"], "rb").read())
+        assert main(["eval", str(rec), "--fs", "360",
+                     "-o", str(tmp_path / "m.csv")]) == 2
+        assert (f"no annotation file found next to '{rec}'"
+                in capsys.readouterr().err)
 
     def test_multi_record_pooling(self, clean, tmp_path):
         out = tmp_path / "m.csv"
@@ -463,3 +486,30 @@ class TestNumericInputs:
         args = [arg.format(**paths) for arg in argv]
         assert main(args + ["-o", str(tmp_path / "out.csv")]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestNonUtf8Input:
+    """Bytes that are not UTF-8 end in a typed error that names the file and
+    the offset of the first bad byte, in every text reader."""
+
+    @pytest.mark.parametrize("name,content,argv,code", [
+        ("bad.csv", b"\xff\n1\n", ["detect", "{bad}"], 3),
+        ("bad.hea", make_header("r", 360.0, 10, [
+            "r.dat 212 200 12 0 0 0 0 ML\xffII"]).encode("latin-1"),
+         ["detect", "{bad}"], 3),
+        ("bad.ann", b"1\n2\n\xff3\n",
+         ["eval", "{csv}", "--annotations", "{bad}"], 3),
+        ("bad.cfg", b"detector.rr_history_beats = 6\n\xff\n",
+         ["detect", "{csv}", "--config", "{bad}"], 2),
+        ("bad.json", b'{"seed": "\xff"}', ["synth", "{bad}"], 3),
+    ], ids=["csv", "header", "annotations", "config", "spec"])
+    def test_typed_error_names_the_byte(self, clean, tmp_path, capsys, name,
+                                        content, argv, code):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        args = [arg.format(bad=bad, csv=clean["csv"]) for arg in argv]
+        assert main(args + ["-o", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        offset = content.index(b"\xff")
+        assert f"{bad}: byte {offset}: not UTF-8 text" in err
+        assert "Traceback" not in err

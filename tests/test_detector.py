@@ -167,10 +167,17 @@ class TestRule1:
             s = ptpp.update_rule1(s, 1.0, is_signal=True)
             assert abs((1.0 - s.spk) - 0.875 ** k) < REL
 
-    def test_input_state_unchanged(self):
-        s0 = state(spk=0.5, npk=0.1)
-        ptpp.update_rule1(s0, 1.0, is_signal=True)
-        assert s0.spk == 0.5 and s0.npk == 0.1
+    @pytest.mark.parametrize("rule", [
+        lambda s: ptpp.update_rule1(s, 1.0, is_signal=True),
+        lambda s: ptpp.update_rule1(s, 1.0, is_signal=False),
+        lambda s: ptpp.update_rule2(s, 1.0),
+    ], ids=["rule1_signal", "rule1_noise", "rule2"])
+    def test_input_state_unchanged(self, rule):
+        # States are mutable; every public rule must return a new one.
+        s0 = state(spk=0.5, npk=0.1, threshold1=0.2, threshold2=0.08)
+        s1 = rule(s0)
+        assert s1 is not s0 and s1 != s0
+        assert s0 == state(spk=0.5, npk=0.1, threshold1=0.2, threshold2=0.08)
 
 
 class TestRule2:

@@ -139,6 +139,21 @@ def _load_samples(path):
     return ptpp.load_csv(path, 360.0).channels[0].samples
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("tail,at", [
+        (b"1,\xe2\x82\n2,0.5\n", 2),  # a broken three-byte character
+        (b"1,0.5\n\xe2\x82", 6),  # a character cut off by the end
+    ], ids=["broken", "cut_off"])
+    def test_offset_counts_from_file_start(self, tmp_path, tail, at):
+        # Past the first chunk that a text reader decodes.
+        head = b"".join(b"%d,0.5\n" % i for i in range(20000))
+        p = tmp_path / "t.csv"
+        p.write_bytes(head + tail)
+        with pytest.raises(ptpp.ParseError,
+                           match=f"byte {len(head) + at}: not UTF-8"):
+            ptpp.load_csv(p, 360.0)
+
+
 class TestLoadCsvOracle:
     """``load_csv`` against its original per-line loop: same sample bytes or
     the same ParseError message, and nothing else escapes, warnings included.
