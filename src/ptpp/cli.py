@@ -391,10 +391,10 @@ def _cmd_synth(args: argparse.Namespace, pairs: dict[str, str]) -> int:
         raw = json.loads(read_text(spec_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{spec_path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ParseError(f"{spec_path}: JSON nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{spec_path}: expected a JSON object")
-    if "spike" in raw and raw["spike"] is not None:
-        raw["spike"] = tuple(raw["spike"])
     spec = SynthSpec.from_dict(raw)
     record, annotations = synth_ecg(spec)
     stem = Path(args.output or spec_path.stem)

@@ -15,7 +15,6 @@ Detections are indexed in integrated-signal coordinates; use
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -30,8 +29,8 @@ from .pipeline import StageOutputs, ms_to_samples
 # Half-width of the window used both to pair a candidate with its band-passed
 # amplitude and to re-localize accepted beats on the raw trace.
 LOCALIZE_HALF_WINDOW_S = 0.075
-# Bytes of windows that localize_rpeaks copies out at once.
-_LOCALIZE_BLOCK_BYTES = 1 << 19
+# Bytes of windows that _window_argmax copies out at once.
+_LOCALIZE_BLOCK_BYTES = 1 << 16
 
 # Provenance tags / rejection reasons used in DetectionResult.
 VIA_THRESHOLD1 = "threshold1"
@@ -151,38 +150,28 @@ class RrTracker:
         return sum(ring) / len(ring)
 
 
-def _thinned_maxima(x: np.ndarray, min_sep: int) -> np.ndarray:
-    """Interior local maxima of ``x``, greedily thinned so survivors are at
-    least ``min_sep`` apart; on conflict the larger amplitude wins and equal
-    amplitudes keep the earlier index."""
-    if len(x) < 3:
-        return np.empty(0, dtype=np.int64)
-    rising = x[1:-1] > x[:-2]
-    falling = x[1:-1] >= x[2:]
-    peaks = np.nonzero(rising & falling)[0] + 1
-    if len(peaks) == 0 or min_sep <= 1:
-        return peaks.astype(np.int64)
-    order = np.argsort(-x[peaks], kind="stable")
-    kept: list[int] = []
-    for o in order:
-        idx = int(peaks[o])
-        pos = bisect.bisect_left(kept, idx)
-        if pos > 0 and idx - kept[pos - 1] < min_sep:
-            continue
-        if pos < len(kept) and kept[pos] - idx < min_sep:
-            continue
-        kept.insert(pos, idx)
-    return np.asarray(kept, dtype=np.int64)
-
-
 def find_candidates(integrated: np.ndarray, fs: float,
                     cfg: DetectorConfig | None = None) -> np.ndarray:
-    """Candidate peak indices on the integrated signal (231 ms spacing)."""
+    """Candidate peak indices on the integrated signal: its interior local
+    maxima, greedily thinned so survivors are at least 231 ms apart. Maxima
+    are visited largest first (equal amplitudes earlier first); each one not
+    yet marked is kept and marks every maximum closer than the spacing."""
     if cfg is None:
         cfg = DetectorConfig()
     x = np.asarray(integrated, dtype=np.float64)
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
-    return _thinned_maxima(x, min_sep)
+    peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
+    # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
+    lo = np.searchsorted(peaks, peaks - (min_sep - 1))
+    hi = np.searchsorted(peaks, peaks + min_sep)
+    marked = np.zeros(len(peaks), dtype=bool)
+    kept = np.zeros(len(peaks), dtype=bool)
+    # Not .tolist(): one Python int per maximum at once raised peak RSS.
+    for m in np.argsort(-x[peaks], kind="stable"):
+        if not marked[m]:
+            kept[m] = True
+            marked[lo[m]:hi[m]] = True
+    return peaks[kept].astype(np.int64)
 
 
 def init_thresholds(channel_signal: np.ndarray, fs: float,
@@ -257,6 +246,27 @@ class _Policy:
     insert_rule: Callable[[ThresholdState, float], None]  # adapts to a find
 
 
+def _padded_abs(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """|x| with w samples of -inf on each side, so every centre gets a full
+    window that the pad never wins, and the |x| view inside it."""
+    padded = np.full(len(x) + 2 * w, -np.inf)
+    return padded, np.abs(x, out=padded[w:-w])
+
+
+def _window_argmax(padded: np.ndarray, w: int, centres) -> np.ndarray:
+    """Index of the first maximum within ±w of each centre, in the unpadded
+    signal's coordinates (centres are clipped to it); windows are copied
+    out in blocks of at most _LOCALIZE_BLOCK_BYTES."""
+    centres = np.clip(centres, 0, len(padded) - 2 * w - 1)
+    windows = sliding_window_view(padded, 2 * w + 1)  # windows[c] is c ± w
+    block = max(1, _LOCALIZE_BLOCK_BYTES // windows.itemsize // (2 * w + 1))
+    out = np.empty(len(centres), dtype=np.int64)
+    for i in range(0, len(centres), block):
+        c = centres[i:i + block]
+        out[i:i + block] = c - w + np.argmax(windows[c], axis=1)
+    return out
+
+
 def _samples(seconds: float, fs: float) -> float:
     # Rounds halves up; math.inf, a trigger switched off, stays inf.
     return seconds if math.isinf(seconds) else int(seconds * fs + 0.5)
@@ -269,23 +279,22 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     p = policy
     integ = np.asarray(stages.integrated, dtype=np.float64)
     filt = np.asarray(stages.filtered, dtype=np.float64)
-    n = len(integ)
     delays = stages.stage_delays_samples
     align = (delays.get("derivative", 0) + delays.get("smooth", 0)
              + delays.get("mwi", 0))
-    amplitudes = [lambda i: float(integ[i])]
     levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
     if p.band_channel:
-        abs_filt = np.abs(filt)
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-
-        def filtered_peak(i: int) -> float:
-            c = min(max(i - align, 0), n - 1)
-            lo = max(0, c - half_win)
-            return float(abs_filt[lo:min(n, c + half_win + 1)].max())
-        amplitudes.append(filtered_peak)
+        padded, abs_filt = _padded_abs(filt, half_win)
         levels.append(init_thresholds(abs_filt, fs, cfg, p.t2_ratio))
     lead = levels[0]
+
+    def band_peaks(idx: np.ndarray) -> list[np.ndarray]:
+        # Band channel, if any: max |band-passed| within ±75 ms of idx - align.
+        if not p.band_channel:
+            return []
+        return [abs_filt[_window_argmax(padded, half_win, idx - align)]]
+    band = band_peaks(np.asarray(candidates, dtype=np.int64))
 
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
@@ -320,7 +329,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
 
     for k, cand in enumerate(candidates):
         i = int(cand)
-        peaks = [amplitude(i) for amplitude in amplitudes]
+        peaks = [float(integ[i])] + [float(b[k]) for b in band]
         rr = (i - beat_idx[-1]) if beat_idx else None
         rr_mean = tracker.rr_mean
 
@@ -360,8 +369,10 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 if tag is not None:
                     # Adapt before add_beat: a halving there must outlive
                     # this find's own threshold recompute.
-                    for lv, amplitude in zip(levels, amplitudes):
-                        p.insert_rule(lv, amplitude(j))
+                    found = [float(integ[j])] + [
+                        float(b[0]) for b in band_peaks(np.array([j]))]
+                    for lv, peak in zip(levels, found):
+                        p.insert_rule(lv, peak)
                     add_beat(j, tag)
                     inserted_at = j
 
@@ -434,23 +445,13 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     index into ``detections`` of the detection it came from.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    n = len(raw)
-    if n == 0 or len(detections.r_peaks) == 0:
+    if len(raw) == 0 or len(detections.r_peaks) == 0:
         return np.empty(0, dtype=np.int64)
     total_delay = sum(stage_delays.values())
     w = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-    # |raw| with w samples of -inf on each side: every centre gets a full
-    # window, the pad never wins, and argmax still picks the first maximum.
-    padded = np.full(n + 2 * w, -np.inf)
-    x = np.abs(raw, out=padded[w:w + n])
-    windows = sliding_window_view(padded, 2 * w + 1)  # windows[c] is c ± w
-    centres = np.clip(np.asarray(detections.r_peaks, dtype=np.int64)
-                      - total_delay, 0, n - 1)
-    block = max(1, _LOCALIZE_BLOCK_BYTES // windows.itemsize // (2 * w + 1))
-    mapped: list[int] = []
-    for i in range(0, len(centres), block):
-        c = centres[i:i + block]
-        mapped.extend((c - w + np.argmax(windows[c], axis=1)).tolist())
+    padded, x = _padded_abs(raw, w)
+    mapped = _window_argmax(padded, w, np.asarray(
+        detections.r_peaks, dtype=np.int64) - total_delay).tolist()
     kept: list[int] = []  # indices into mapped
     for k, j in enumerate(mapped):
         if not kept or j > mapped[kept[-1]]:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
@@ -133,9 +135,9 @@ class SynthSpec:
         if unknown:
             raise ConfigError(f"unknown SynthSpec field(s): {sorted(unknown)}")
         spec = cls(**raw)
+        spec.validate()
         if spec.spike is not None:
             spec.spike = (float(spec.spike[0]), float(spec.spike[1]))
-        spec.validate()
         return spec
 
     def _bpm_values(self) -> list[float]:
@@ -145,18 +147,19 @@ class SynthSpec:
 
     def validate(self) -> None:
         for name in self.__dataclass_fields__:
-            for value in _floats(getattr(self, name)):
-                if not math.isfinite(value):
-                    raise ConfigError(f"{name} must be finite, got {value!r}")
+            value = getattr(self, name)
+            has_shape, shape = _SPEC_SHAPES.get(name, (_is_number, "a number"))
+            if not has_shape(value):
+                raise ConfigError(f"{name} must be {shape}, got {value!r}")
+            for number in _floats(value):
+                if not math.isfinite(number):
+                    raise ConfigError(f"{name} must be finite, got {number!r}")
         if self.fs <= 0 or self.duration_s <= 0:
             raise ConfigError("fs and duration_s must be positive")
         n = self.duration_s * self.fs
         if not (math.isfinite(n) and round(n) >= 1):
             raise ConfigError(f"duration_s * fs must round to a finite "
                               f"sample count >= 1, got {n!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, "
-                              f"got {self.seed!r}")
         for bpm in self._bpm_values():
             if not 20.0 < bpm <= 260.0:
                 raise ConfigError(f"heart rate {bpm} outside (20, 260] bpm")
@@ -166,8 +169,40 @@ class SynthSpec:
             raise ConfigError("t_wave_delay_ms must be positive")
         if not 0.0 <= self.rr_jitter_frac < 0.5:
             raise ConfigError("rr_jitter_frac must lie in [0, 0.5)")
-        if self.spike is not None and len(self.spike) != 2:
-            raise ConfigError("spike must be (time_s, scale)")
+
+
+def _is_number(value) -> bool:
+    # A bool is an int to Python but not a number in a spec, and an int past
+    # the float range would overflow in synth_ecg's float arithmetic. NaN and
+    # inf pass here; validate() names them as not finite.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral)
+                     and abs(value) > sys.float_info.max))
+
+
+def _is_list_of(value, item_ok, length=None) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and length in (None, len(value)) and all(map(item_ok, value)))
+
+
+def _is_schedule(value) -> bool:  # [[start_s, value], ...]
+    return _is_list_of(value, lambda pair: _is_list_of(pair, _is_number, 2))
+
+
+# The JSON shape each spec field takes where it is not simply a number.
+_SPEC_SHAPES = {
+    "seed": (lambda v: isinstance(v, (int, np.integer))
+             and not isinstance(v, bool) and v >= 0, "an integer >= 0"),
+    "heart_rate_bpm": (lambda v: _is_number(v) or _is_schedule(v),
+                       "a number or [[start_s, bpm], ...]"),
+    "qrs_amplitude_mv": (lambda v: _is_number(v) or _is_schedule(v)
+                         or _is_list_of(v, _is_number),
+                         "a number, [a0, a1, ...] or [[start_s, amp], ...]"),
+    "t_wave": (lambda v: isinstance(v, (bool, np.bool_)), "true or false"),
+    "noise_snr_db": (lambda v: v is None or _is_number(v), "a number or null"),
+    "spike": (lambda v: v is None or _is_list_of(v, _is_number, 2),
+              "null or [time_s, scale]"),
+}
 
 
 def _floats(value) -> Iterator[float]:

@@ -240,10 +240,13 @@ def _parse_signal_line(line: str, lineno: int, source: str) -> ChannelHeader:
     explicit_baseline: Optional[int] = None
     if len(tokens) > 2:
         m = _GAIN_RE.match(tokens[2])
-        if m is None:
+        try:  # the pattern also admits "e", "+", "1e" and "1e999" (inf)
+            gain = float(m.group(1)) if m else math.nan
+        except ValueError:
+            gain = math.nan
+        if not math.isfinite(gain):
             raise ParseError(
                 f"{source}: line {lineno}: bad gain field {tokens[2]!r}")
-        gain = float(m.group(1))
         if m.group(2) is not None:
             explicit_baseline = int(m.group(2))
     if gain == 0.0:

@@ -196,6 +196,9 @@ def run_pipeline(samples: np.ndarray, fs: float,
     if config.smooth_enabled:
         width = ms_to_samples(config.smooth_window_ms, fs,
                               minimum=MIN_SMOOTH_SAMPLES)
+        if width > len(x):  # smooth's own check, before the kernel is built
+            raise InputTooShortError(
+                f"kernel ({width}) longer than signal ({len(x)})")
         smoothed = smooth(squared, flattop_kernel(width))
         smooth_delay = (width - 1) // 2
     else:

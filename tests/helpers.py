@@ -3,13 +3,14 @@
 Holds the frozen synthetic stress-scenario recipes used by both the
 comparative detector tests and the acceptance suite, independent
 re-implementations of the WFDB byte formats (used as oracles against the
-parsers in :mod:`ptpp.io`), the per-line loops that ``load_csv`` and
-``localize_rpeaks`` replaced (oracles for their vectorised forms), and the
-locator for the optional real-record spot check.
+parsers in :mod:`ptpp.io`), the loops that ``load_csv``, ``localize_rpeaks``,
+candidate thinning and the band-channel amplitude replaced (oracles for their
+vectorised forms), and the locator for the optional real-record spot check.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from pathlib import Path
@@ -229,6 +230,41 @@ def localize_reference(raw, r_peaks, total_delay: int, fs: float):
         if x[j] > x[mapped[kept[-1]]] and j > floor:
             kept[-1] = k
     return np.asarray([mapped[k] for k in kept], dtype=np.int64), kept
+
+
+def thinned_maxima_reference(x: np.ndarray, min_sep: int) -> np.ndarray:
+    """Interior local maxima of ``x``, greedily thinned so survivors are at
+    least ``min_sep`` apart; on conflict the larger amplitude wins and equal
+    amplitudes keep the earlier index."""
+    if len(x) < 3:
+        return np.empty(0, dtype=np.int64)
+    rising = x[1:-1] > x[:-2]
+    falling = x[1:-1] >= x[2:]
+    peaks = np.nonzero(rising & falling)[0] + 1
+    if len(peaks) == 0 or min_sep <= 1:
+        return peaks.astype(np.int64)
+    order = np.argsort(-x[peaks], kind="stable")
+    kept: list[int] = []
+    for o in order:
+        idx = int(peaks[o])
+        pos = bisect.bisect_left(kept, idx)
+        if pos > 0 and idx - kept[pos - 1] < min_sep:
+            continue
+        if pos < len(kept) and kept[pos] - idx < min_sep:
+            continue
+        kept.insert(pos, idx)
+    return np.asarray(kept, dtype=np.int64)
+
+
+def band_peak_reference(filtered, i: int, align: int, fs: float) -> float:
+    """The band-passed amplitude the decision loop paired with integrated
+    index ``i``, as its original per-candidate slice max."""
+    abs_filt = np.abs(np.asarray(filtered, dtype=np.float64))
+    n = len(abs_filt)
+    half_win = ptpp.ms_to_samples(75.0, fs)
+    c = min(max(i - align, 0), n - 1)
+    lo = max(0, c - half_win)
+    return float(abs_filt[lo:min(n, c + half_win + 1)].max())
 
 
 # ---------------------------------------------------------------------------

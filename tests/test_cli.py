@@ -128,6 +128,15 @@ class TestSynthCommand:
         bad.write_text("[1, 2]")
         assert main(["synth", str(bad), "-o", str(tmp_path / "x")]) == 3
 
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"heart_rate_bpm": ' + "[" * 100_000 + "]" * 100_000
+                       + "}")
+        assert main(["synth", str(bad), "-o", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
     def test_unknown_spec_field_is_config_error(self, tmp_path):
         spec = write_spec(tmp_path / "s.json", durationn_s=10.0)
         assert main(["synth", spec, "-o", str(tmp_path / "x")]) == 2
@@ -143,6 +152,27 @@ class TestSynthCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+
+    @pytest.mark.parametrize("spec", [
+        '{"fs": "a"}', '{"rr_jitter_frac": null}', '{"noise_snr_db": "a"}',
+        '{"spike": 3}', '{"spike": [1.0, 2.0, 3.0]}', '{"spike": ["a", 1]}',
+        '{"qrs_amplitude_mv": "x"}', '{"qrs_amplitude_mv": []}',
+        '{"qrs_amplitude_mv": [1.0, [0, 1]]}', '{"heart_rate_bpm": [[0]]}',
+        '{"heart_rate_bpm": []}', '{"heart_rate_bpm": [[0, "60"]]}',
+        '{"t_wave": "no"}', '{"t_wave": 1}', '{"fs": true}', '{"seed": true}',
+        pytest.param('{"fs": 1%s}' % ("0" * 400), id="int-past-float-range")])
+    def test_wrong_json_type_is_config_error(self, tmp_path, capsys, spec):
+        # Without type checks these end in a traceback (an int past the
+        # float range overflows in synth_ecg) or are silently coerced: true
+        # as 1, and "no" as a true t_wave.
+        path = tmp_path / "s.json"
+        path.write_text(spec)
+        assert main(["synth", str(path), "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.ann").exists()
 
     @pytest.mark.parametrize("spec", [
         '{"duration_s": 1e308}', '{"fs": 1e-300}', '{"seed": 1.5}',
@@ -486,6 +516,30 @@ class TestNumericInputs:
         args = [arg.format(**paths) for arg in argv]
         assert main(args + ["-o", str(tmp_path / "out.csv")]) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("gain", ["e", "1e999"])
+    def test_bad_gain_exits_3(self, tmp_path, capsys, gain):
+        header = tmp_path / "r.hea"
+        header.write_text(make_header("r", 360.0, 10,
+                                      [f"r.dat 212 {gain} 12 0 0 0 0 MLII"]))
+        assert main(["detect", str(header),
+                     "-o", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "line 2: bad gain field" in err
+        assert "Traceback" not in err
+
+    def test_smoothing_window_checked_before_kernel(self, clean, tmp_path,
+                                                   capsys, monkeypatch):
+        # A window longer than the record is refused before its kernel is
+        # allocated; a window of 1e9 ms would need gigabytes for it.
+        def no_kernel(width):
+            raise AssertionError(f"flattop_kernel({width}) was called")
+        monkeypatch.setattr(ptpp.pipeline, "flattop_kernel", no_kernel)
+        assert main(["detect", clean["csv"], "--set",
+                     "pipeline.smooth_window_ms=1e6",
+                     "-o", str(tmp_path / "out.csv")]) == 4
+        assert "longer than signal" in capsys.readouterr().err
 
 
 class TestNonUtf8Input:

@@ -6,6 +6,7 @@ equal to or deliberately different from the integrated channel) so each
 branch fires in a controlled, verifiable way.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import hypothesis
@@ -16,9 +17,11 @@ import pytest
 
 import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, RrTracker,
-                           VIA_SEARCHBACK, VIA_SPIKE_RECOVERY, VIA_THRESHOLD1)
+                           VIA_SEARCHBACK, VIA_SPIKE_RECOVERY, VIA_THRESHOLD1,
+                           _padded_abs, _window_argmax)
 
-from helpers import localize_reference
+from helpers import (band_peak_reference, localize_reference,
+                     thinned_maxima_reference)
 
 FS = 100.0  # scenario rate: 231 ms -> 23 samples, 360 ms -> 36, 70 ms -> 7
 
@@ -111,6 +114,25 @@ class TestFindCandidates:
         for i in out:
             assert x[i] > x[i - 1] or x[i] >= x[i + 1]  # an interior maximum
             assert 0 < i < len(x) - 1
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(
+        # Few levels make ties and plateaus common; lengths 0-3 have no
+        # interior sample or a single one.
+        x=st.one_of(
+            hnp.arrays(np.float64, st.integers(0, 80),
+                       elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan])),
+            hnp.arrays(np.float64, st.integers(0, 3),
+                       elements=st.floats(0, 100)),
+            hnp.arrays(np.float64, st.integers(4, 200),
+                       elements=st.floats(0, 100))),
+        min_sep=st.one_of(st.integers(1, 3), st.integers(4, 60)))
+    def test_matches_bisect_reference(self, x, min_sep):
+        # At 1000 Hz a spacing of min_sep ms is exactly min_sep samples.
+        cfg = ptpp.DetectorConfig(min_peak_separation_ms=float(min_sep))
+        out = ptpp.find_candidates(x, 1000.0, cfg)
+        np.testing.assert_array_equal(out, thinned_maxima_reference(x, min_sep))
+        assert out.dtype == np.int64
 
 
 class TestInitThresholds:
@@ -436,6 +458,55 @@ class TestLocalize:
         run = ptpp.run_detector("ptpp", record.channels[0].samples, 360.0)
         assert len(run.r_peaks) == len(truth.beat_samples)
         assert np.max(np.abs(run.r_peaks - truth.beat_samples)) <= 2
+
+
+class TestBandAmplitude:
+    """The band channel's amplitudes, all taken in one blocked windowed max,
+    against the decision loop's original per-candidate slice max."""
+
+    @hypothesis.settings(deadline=None)
+    @hypothesis.given(
+        filtered=hnp.arrays(np.float64, st.integers(1, 300),
+                            elements=st.sampled_from([0.0, 1.0, -1.0, 2.0,
+                                                      -2.0, np.nan]),
+                            fill=st.just(0.0)),
+        # Centres run past both record ends; the delay may exceed the record.
+        idx=st.lists(st.integers(0, 700), max_size=30),
+        align=st.integers(0, 400),
+        fs=st.sampled_from([FS, 360.0, 1000.0]),
+        block_bytes=st.sampled_from([1, 200,
+                                     ptpp.detector._LOCALIZE_BLOCK_BYTES]))
+    def test_matches_per_candidate_slice_max(self, filtered, idx, align, fs,
+                                             block_bytes):
+        w = ptpp.ms_to_samples(ptpp.detector.LOCALIZE_HALF_WINDOW_S * 1000.0,
+                               fs)
+        with mock.patch.object(ptpp.detector, "_LOCALIZE_BLOCK_BYTES",
+                               block_bytes):
+            padded, abs_filt = _padded_abs(filtered, w)
+            out = abs_filt[_window_argmax(
+                padded, w, np.asarray(idx, dtype=np.int64) - align)]
+        expected = [band_peak_reference(filtered, i, align, fs) for i in idx]
+        np.testing.assert_array_equal(out, np.asarray(expected, dtype=float))
+
+    def test_search_back_find_takes_its_own_window(self):
+        # The hump at 320 has no band-passed counterpart, so it is rejected
+        # and later found by the search-back that the beat at 420 triggers.
+        # The band channel adapts to the find's own amplitude (0.0), then to
+        # the triggering candidate's (1.0).
+        integ = np.zeros(700)
+        filt = np.zeros(700)
+        for a in (25, 125, 225, 420):
+            add_triangle(integ, a, 1.0)
+            add_triangle(filt, a, 1.0)
+        add_triangle(integ, 320, 0.8)
+        trace: list = []
+        result = ptpp.detect(make_stages(integ, filt), FS, trace=trace)
+        assert result.provenance[3] == VIA_SEARCHBACK
+        band = {i: band_state for i, _, band_state in trace}
+        expected = replace(band[320])
+        expected.fast(0.0)
+        expected.signal(1.0)
+        assert band[420] == expected
 
 
 class TestRrTracker:

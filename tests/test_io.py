@@ -6,6 +6,7 @@ inverse, so a packing mistake cannot cancel itself out. The CSV reader is
 checked against its original per-line loop the same way.
 """
 
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -259,6 +260,17 @@ class TestParseHeader:
     def test_zero_gain_replaced_by_default(self):
         info = ptpp.parse_wfdb_header(make_header("r", 250, 10, ["r.dat 212 0"]))
         assert info.channels[0].gain == 200.0
+
+    @pytest.mark.parametrize("gain", [
+        "e", ".", "+", "-", "1e", "+-1", "1.2.3", "e5", "1e999", "-1e999",
+        "1e999(0)/mV"])
+    def test_bad_gain_is_parse_error(self, gain):
+        # The gain pattern admits these, but none is a finite number; 1e999
+        # would make every sample -0.0 mV.
+        text = make_header("r", 360, 10, [f"r.dat 212 {gain} 12 0 0 0 0 ml"])
+        with pytest.raises(ptpp.ParseError,
+                           match=f"line 2: bad gain field '{re.escape(gain)}'"):
+            ptpp.parse_wfdb_header(text)
 
     def test_channel_count_mismatch(self):
         text = make_header("r", 360, 10, ["r.dat 212", "r.dat 212"])

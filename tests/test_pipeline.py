@@ -253,6 +253,14 @@ class TestRunPipeline:
         out = ptpp.run_pipeline(np.zeros(1000), FS, cfg)
         assert out.stage_delays_samples["bandpass"] == 0
 
+    def test_smoothing_window_checked_before_kernel(self, monkeypatch):
+        def no_kernel(width):
+            raise AssertionError(f"flattop_kernel({width}) was called")
+        monkeypatch.setattr(ptpp.pipeline, "flattop_kernel", no_kernel)
+        cfg = ptpp.PipelineConfig(smooth_window_ms=5000.0)  # 1800 samples
+        with pytest.raises(ptpp.InputTooShortError, match="1800.*1000"):
+            ptpp.run_pipeline(np.zeros(1000), FS, cfg)
+
     def test_smoothing_bypass(self):
         cfg = ptpp.PipelineConfig(smooth_enabled=False)
         out = ptpp.run_pipeline(np.random.default_rng(1).normal(size=720),
