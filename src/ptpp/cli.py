@@ -8,7 +8,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,12 +37,14 @@ STAGES_HEADER = ["sample_index", "raw", "filtered", "derived", "squared",
 
 _PREFERRED_LABELS = ("mlii", "ii")
 
-_SECTION_DEFAULTS = {
-    "pipeline": PipelineConfig,
-    "detector": DetectorConfig,
-    "pt": PtConfig,
+_EVAL_DEFAULTS = {"tolerance_ms": 100.0, "dataset": "local", "fs": 360.0}
+# Every section's keys and defaults; a value takes its default's type.
+_DEFAULTS = {
+    **{section: {f.name: f.default for f in dataclass_fields(cls)}
+       for section, cls in (("pipeline", PipelineConfig),
+                            ("detector", DetectorConfig), ("pt", PtConfig))},
+    "eval": _EVAL_DEFAULTS,
 }
-_EVAL_KEYS = {"tolerance_ms", "dataset", "fs"}
 
 
 # --------------------------------------------------------------------------
@@ -66,26 +68,6 @@ def format_config(pairs: dict[str, str]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in sorted(pairs.items()))
 
 
-def _check_pairs(pairs: dict[str, str]) -> None:
-    for full_key in pairs:
-        section, _, key = full_key.partition(".")
-        if section == "eval":
-            if key not in _EVAL_KEYS:
-                raise ConfigError(
-                    f"unknown config key '{full_key}' "
-                    f"(eval accepts: {sorted(_EVAL_KEYS)})")
-        elif section in _SECTION_DEFAULTS:
-            known = {f.name for f in dataclass_fields(_SECTION_DEFAULTS[section])}
-            if key not in known:
-                raise ConfigError(
-                    f"unknown config key '{full_key}' "
-                    f"({section} accepts: {sorted(known)})")
-        else:
-            raise ConfigError(
-                f"unknown config section in '{full_key}' "
-                f"(expected one of: pipeline, detector, pt, eval)")
-
-
 def _coerce_like(default_value, text: str, full_key: str):
     try:
         if isinstance(default_value, bool):
@@ -104,17 +86,14 @@ def _coerce_like(default_value, text: str, full_key: str):
         raise ConfigError(f"bad value for '{full_key}': {text!r}") from exc
 
 
-def _apply_section(cfg, section: str, pairs: dict[str, str]):
-    for full_key, raw in pairs.items():
-        head, _, key = full_key.partition(".")
-        if head != section:
-            continue
-        setattr(cfg, key, _coerce_like(getattr(cfg, key), raw, full_key))
-    return cfg
+def resolve_settings(args: argparse.Namespace) -> None:
+    """Type, check and validate every setting before any input is read.
 
-
-def gather_overrides(args: argparse.Namespace) -> dict[str, str]:
-    """File pairs first, then --set pairs on top."""
+    Pairs come from the config file, then ``--set`` pairs on top; an eval
+    value is its flag, else its pair, else its default. Sets ``args.fs``,
+    ``args.tolerance_ms``, ``args.dataset`` and ``args.run_cfgs``, each
+    detector's ``run_detector`` config keywords.
+    """
     pairs: dict[str, str] = {}
     if args.config_file:
         path = _resolve_input(args.config_file)
@@ -125,15 +104,31 @@ def gather_overrides(args: argparse.Namespace) -> dict[str, str]:
         if not sep or not key.strip():
             raise ConfigError(f"--set expects key=value, got {item!r}")
         pairs[key.strip()] = value.strip()
-    _check_pairs(pairs)
-    return pairs
-
-
-def _eval_opt(pairs: dict[str, str], key: str, cli_value, default):
-    if cli_value is not None:
-        return cli_value
-    raw = pairs.get(f"eval.{key}")
-    return default if raw is None else _coerce_like(default, raw, f"eval.{key}")
+    typed: dict[str, dict] = {section: {} for section in _DEFAULTS}
+    for full_key, raw in pairs.items():
+        section, _, key = full_key.partition(".")
+        if section not in _DEFAULTS:
+            raise ConfigError(
+                f"unknown config section in '{full_key}' "
+                f"(expected one of: pipeline, detector, pt, eval)")
+        if key not in _DEFAULTS[section]:
+            raise ConfigError(
+                f"unknown config key '{full_key}' "
+                f"({section} accepts: {sorted(_DEFAULTS[section])})")
+        typed[section][key] = _coerce_like(_DEFAULTS[section][key], raw,
+                                           full_key)
+    detector_cfg = DetectorConfig(**typed["detector"])
+    pt_cfg = PtConfig(**typed["pt"])
+    detector_cfg.validate()
+    pt_cfg.validate()
+    args.run_cfgs = {
+        d: {"pipeline_cfg": replace(default_pipeline_config(d),
+                                    **typed["pipeline"]),
+            "detector_cfg": detector_cfg, "pt_cfg": pt_cfg}
+        for d in DETECTORS}
+    for key, default in _EVAL_DEFAULTS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, typed["eval"].get(key, default))
 
 
 # --------------------------------------------------------------------------
@@ -152,16 +147,15 @@ def _resolve_input(path_str: str) -> Path:
     raise ConfigError(f"input file not found: {path_str}{hint}")
 
 
-def _open_record(path_str: str, args: argparse.Namespace,
-                 pairs: dict[str, str]) -> tuple[Path, Record, int]:
+def _open_record(path_str: str,
+                 args: argparse.Namespace) -> tuple[Path, Record, int]:
     """The resolved path, decoded record and channel index of one record."""
     path = _resolve_input(path_str)
-    fs_hint = _eval_opt(pairs, "fs", args.fs, 360.0)
     suffix = path.suffix.lower()
     if suffix == ".hea":
         record = load_wfdb_record(path)
     elif suffix in (".csv", ".txt"):
-        record = load_csv(path, sampling_rate_hz=fs_hint)
+        record = load_csv(path, sampling_rate_hz=args.fs)
     else:
         raise ParseError(f"cannot infer record format from '{path.name}' "
                          "(expected .hea, .csv or .txt)")
@@ -248,31 +242,11 @@ def _metrics_row(detector: str, dataset: str, record_id: str, reports,
 # --------------------------------------------------------------------------
 # commands
 
-def _configs_for(detector: str, pairs: dict[str, str]) -> dict:
-    """``run_detector``'s config keyword arguments for ``detector``."""
-    pipeline_cfg = _apply_section(default_pipeline_config(detector),
-                                  "pipeline", pairs)
-    detector_cfg = _apply_section(DetectorConfig(), "detector", pairs)
-    pt_cfg = _apply_section(PtConfig(), "pt", pairs)
-    detector_cfg.validate()
-    pt_cfg.validate()
-    return {"pipeline_cfg": pipeline_cfg, "detector_cfg": detector_cfg,
-            "pt_cfg": pt_cfg}
-
-
-def _timed_peaks(detector: str, samples: np.ndarray, fs: float,
-                 pairs: dict[str, str]):
-    """Peaks and seconds of one run; the run and its stages die on return."""
-    run, elapsed = timed_call(run_detector, detector, samples, fs,
-                              **_configs_for(detector, pairs))
-    return run.r_peaks, elapsed
-
-
-def _cmd_detect(args: argparse.Namespace, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(args.records[0], args, pairs)
+def _cmd_detect(args: argparse.Namespace) -> int:
+    path, record, channel = _open_record(args.records[0], args)
     fs = record.sampling_rate_hz
     run = run_detector(args.detector, record.channels[channel].samples, fs,
-                       **_configs_for(args.detector, pairs))
+                       **args.run_cfgs[args.detector])
     rows = []
     for raw_index, tag in zip(run.r_peaks, run.provenance):
         rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
@@ -282,11 +256,11 @@ def _cmd_detect(args: argparse.Namespace, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_stages(args: argparse.Namespace, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(args.records[0], args, pairs)
-    pipeline_cfg = _configs_for(args.detector, pairs)["pipeline_cfg"]
+def _cmd_stages(args: argparse.Namespace) -> int:
+    path, record, channel = _open_record(args.records[0], args)
     samples = record.channels[channel].samples
-    stages = run_pipeline(samples, record.sampling_rate_hz, pipeline_cfg)
+    stages = run_pipeline(samples, record.sampling_rate_hz,
+                          args.run_cfgs[args.detector]["pipeline_cfg"])
     rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
              repr(float(stages.derived[i])), repr(float(stages.squared[i])),
              repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
@@ -297,46 +271,46 @@ def _cmd_stages(args: argparse.Namespace, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _evaluate(detectors: Sequence[str], args: argparse.Namespace,
-              pairs: dict[str, str]):
+def _evaluate(detectors: Sequence[str], args: argparse.Namespace):
     """Shared machinery for eval/compare: per-record rows + pooled rows.
     Each record is read once; of a detector run only its peaks live on."""
-    tolerance = _eval_opt(pairs, "tolerance_ms", args.tolerance_ms, 100.0)
-    dataset = _eval_opt(pairs, "dataset", args.dataset, "local")
     kept: dict[str, list] = {d: [] for d in detectors}  # (stem, fs, peaks)
     timed_reports: dict[str, list] = {d: [] for d in detectors}
     for rec_str, ann_path in zip(args.records, _annotation_paths(args)):
-        path, record, channel = _open_record(rec_str, args, pairs)
+        path, record, channel = _open_record(rec_str, args)
         reference = load_annotations(ann_path)
         samples, fs = record.channels[channel].samples, record.sampling_rate_hz
         for detector in detectors:
-            peaks, elapsed = _timed_peaks(detector, samples, fs, pairs)
-            report = match_beats(peaks, reference, fs, tolerance,
+            run, elapsed = timed_call(run_detector, detector, samples, fs,
+                                      **args.run_cfgs[detector])
+            peaks = run.r_peaks
+            del run  # its stages must not live through the next run
+            report = match_beats(peaks, reference, fs, args.tolerance_ms,
                                  record_id=path.stem)
             timed_reports[detector].append((report, elapsed))
             kept[detector].append((path.stem, fs, peaks))
     rows = []
     for detector in detectors:
         for report, elapsed in timed_reports[detector]:
-            rows.append(_metrics_row(detector, dataset, report.record_id,
+            rows.append(_metrics_row(detector, args.dataset, report.record_id,
                                      [report], elapsed))
         rows.append(_metrics_row(
-            detector, dataset, POOLED_ROW_ID,
+            detector, args.dataset, POOLED_ROW_ID,
             [report for report, _ in timed_reports[detector]],
             sum(elapsed for _, elapsed in timed_reports[detector])))
-    return rows, kept, tolerance
+    return rows, kept
 
 
-def _cmd_eval(args: argparse.Namespace, pairs: dict[str, str]) -> int:
-    rows, _, _ = _evaluate([args.detector], args, pairs)
+def _cmd_eval(args: argparse.Namespace) -> int:
+    rows, _ = _evaluate([args.detector], args)
     out = Path(args.output or "metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
     print(f"{len(rows)} metric rows -> {out}")
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace, pairs: dict[str, str]) -> int:
-    rows, kept, tolerance = _evaluate(list(DETECTORS), args, pairs)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    rows, kept = _evaluate(list(DETECTORS), args)
     out = Path(args.output or "compare_metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
 
@@ -344,7 +318,7 @@ def _cmd_compare(args: argparse.Namespace, pairs: dict[str, str]) -> int:
     for (rec_id, fs, peaks_a), (_, _, peaks_b) in zip(kept["ptpp"], kept["pt"]):
         other = AnnotationSet(beat_samples=np.asarray(peaks_b, dtype=np.int64),
                               beat_labels=None, source_format="detections")
-        report = match_beats(peaks_a, other, fs, tolerance)
+        report = match_beats(peaks_a, other, fs, args.tolerance_ms)
         matched_a = {pair[1] for pair in report.matched_pairs}
         matched_b = {pair[0] for pair in report.matched_pairs}
         for idx in peaks_a:
@@ -365,13 +339,13 @@ def _cmd_compare(args: argparse.Namespace, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, pairs: dict[str, str]) -> int:
-    path, record, channel = _open_record(args.records[0], args, pairs)
+def _cmd_bench(args: argparse.Namespace) -> int:
+    path, record, channel = _open_record(args.records[0], args)
     rows, medians = [], {}
     for detector in DETECTORS:
         median_s = time_detector(detector, record, channel=channel,
                                  repeats=args.repeats,
-                                 **_configs_for(detector, pairs))
+                                 **args.run_cfgs[detector])
         medians[detector] = median_s
         rows.append([detector, path.stem, record.duration_samples,
                      repr(record.sampling_rate_hz), f"{median_s:.4f}",
@@ -385,7 +359,7 @@ def _cmd_bench(args: argparse.Namespace, pairs: dict[str, str]) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace, pairs: dict[str, str]) -> int:
+def _cmd_synth(args: argparse.Namespace) -> int:
     spec_path = _resolve_input(args.spec_file)
     try:
         raw = json.loads(read_text(spec_path))
@@ -479,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser(
         "synth", help="render a synthetic record from a JSON spec")
     synth.add_argument("spec_file", metavar="SPEC_JSON")
-    synth.add_argument("--config", dest="config_file", help=argparse.SUPPRESS)
-    synth.add_argument("--set", dest="overrides", action="append", default=[],
-                       help=argparse.SUPPRESS)
     synth.add_argument("--output", "-o",
                        help="output stem (writes <stem>.csv and <stem>.ann)")
     synth.set_defaults(handler=_cmd_synth)
@@ -494,7 +465,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, gather_overrides(args))
+        if args.command != "synth":  # synth takes no settings
+            resolve_settings(args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

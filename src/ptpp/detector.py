@@ -16,6 +16,7 @@ Detections are indexed in integrated-signal coordinates; use
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -114,6 +115,8 @@ class DetectorConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.rr_history_beats < 1:
             raise ConfigError("rr_history_beats must be >= 1")
+        if self.rr_history_beats > sys.maxsize:  # a deque's largest maxlen
+            raise ConfigError(f"rr_history_beats must be <= {sys.maxsize}")
         if not 0 < self.twave_slope_ratio < 1:
             raise ConfigError("twave_slope_ratio must lie in (0, 1)")
 
@@ -159,7 +162,9 @@ def find_candidates(integrated: np.ndarray, fs: float,
     if cfg is None:
         cfg = DetectorConfig()
     x = np.asarray(integrated, dtype=np.float64)
-    min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
+    # Any two maxima lie closer than len(x) + 1 samples, so a wider spacing
+    # thins alike; clipping keeps the int64 sums below from overflowing.
+    min_sep = min(ms_to_samples(cfg.min_peak_separation_ms, fs), len(x) + 1)
     peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
     # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
     lo = np.searchsorted(peaks, peaks - (min_sep - 1))
@@ -182,7 +187,7 @@ def init_thresholds(channel_signal: np.ndarray, fs: float,
     if cfg is None:
         cfg = DetectorConfig()
     x = np.asarray(channel_signal, dtype=np.float64)
-    n_init = int(cfg.init_window_s * fs + 0.5)
+    n_init = max(1, _samples(cfg.init_window_s, fs))
     if len(x) < n_init:
         raise InputTooShortError(
             f"need {n_init} samples ({cfg.init_window_s} s at fs={fs}) to "
@@ -268,8 +273,10 @@ def _window_argmax(padded: np.ndarray, w: int, centres) -> np.ndarray:
 
 
 def _samples(seconds: float, fs: float) -> float:
-    # Rounds halves up; math.inf, a trigger switched off, stays inf.
-    return seconds if math.isinf(seconds) else int(seconds * fs + 0.5)
+    # Rounds halves up. inf, a trigger switched off, stays inf, and so does
+    # a count too large for a float: no record reaches it either.
+    n = seconds * fs + 0.5
+    return n if math.isinf(n) else int(n)
 
 
 def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,

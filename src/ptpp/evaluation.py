@@ -59,7 +59,9 @@ def match_beats(detected: Sequence[int], reference: AnnotationSet, fs: float,
     ref = np.asarray(reference.beat_samples, dtype=np.int64)
     if np.any(np.diff(det) < 0) or np.any(np.diff(ref) < 0):
         raise ProcessingError("match_beats requires sorted index lists")
-    tol = int(tolerance_ms * fs / 1000.0 + 0.5)
+    # An integer distance is within floor(t) exactly when it is within t,
+    # and a float t cannot overflow the way int(t) can.
+    tol = tolerance_ms * fs / 1000.0 + 0.5
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < len(ref) and j < len(det):

@@ -156,7 +156,7 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
     numpy refused a line, the field count changed, or a sample is missing or
     non-finite.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             fields = line.strip().split(",")
             if fields != [""]:
@@ -192,7 +192,7 @@ def _parse_csv_lines(path: Path) -> np.ndarray:
     """The per-line reader: slow, lenient where ``float()`` is, exact errors."""
     values = []
     first_content_line = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -31,8 +31,12 @@ GROUP_DELAY_PROBE_HZ = 10.0
 
 
 def ms_to_samples(ms: float, fs: float, minimum: int = 1) -> int:
-    """Convert a duration to samples, rounding halves up."""
-    return max(minimum, int(ms * fs / 1000.0 + 0.5))
+    """Convert a duration to samples, rounding halves up. A count too
+    large for a float raises ConfigError."""
+    n = ms * fs / 1000.0 + 0.5
+    if math.isinf(n):
+        raise ConfigError(f"{ms} ms at {fs} Hz is too many samples")
+    return max(minimum, int(n))
 
 
 @dataclass
@@ -53,6 +57,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"band edges must satisfy 0 < low < high, got "
                 f"({self.band_low_hz}, {self.band_high_hz})")
+        if not 2 * self.band_low_hz / fs > 0:  # as the filter design sees it
+            raise ConfigError(f"band_low_hz={self.band_low_hz} is 0 at "
+                              f"fs={fs}")
         if self.band_high_hz >= fs / 2:
             raise ConfigError(
                 f"band_high_hz={self.band_high_hz} must lie below the "

@@ -180,7 +180,7 @@ def load_csv_reference(path: str | Path) -> np.ndarray:
     path = Path(path)
     values = []
     first_content_line = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

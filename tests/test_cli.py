@@ -2,7 +2,10 @@
 
 import csv
 import json
+from dataclasses import fields
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -117,6 +120,12 @@ class TestSynthCommand:
         assert (tmp_path / "out.ann").exists()
         truth = ptpp.load_annotations(tmp_path / "out.ann")
         assert f"{len(truth.beat_samples)} beats" in capsys.readouterr().out
+
+    def test_takes_no_settings(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", duration_s=10.0)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", spec, "--set", "a.b=1"])
+        assert exc.value.code == 2
 
     def test_invalid_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -245,6 +254,45 @@ class TestDetectCommand:
         assert main(["detect", clean["csv"],
                      "--set", "detector.rr_history_beats=abc",
                      "-o", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("record", ["missing", "malformed"])
+    def test_bad_value_reported_before_inputs(self, tmp_path, capsys,
+                                              record):
+        bad = tmp_path / "bad.csv"
+        if record == "malformed":
+            bad.write_text("value\nfoo\nbar\n")
+        assert main(["detect", str(bad),
+                     "--set", "detector.min_peak_separation_ms=x",
+                     "-o", str(tmp_path / "o.csv")]) == 2
+        assert ("bad value for 'detector.min_peak_separation_ms'"
+                in capsys.readouterr().err)
+
+    def test_invalid_pt_config_reported_before_inputs(self, tmp_path,
+                                                      capsys):
+        assert main(["detect", str(tmp_path / "nope.csv"), "--detector",
+                     "ptpp", "--set", "pt.refractory_ms=-1"]) == 2
+        assert ("refractory_ms must be positive and finite, got -1.0"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("file_fs,argv,fs", [
+        (None, ["--set", "eval.fs=250"], 250.0),
+        (None, ["--set", "eval.fs=360", "--fs", "250"], 250.0),
+        ("500", [], 500.0),
+        ("500", ["--set", "eval.fs=250"], 250.0),
+        ("500", ["--set", "eval.fs=300", "--fs", "250"], 250.0),
+    ])
+    def test_sampling_rate_precedence(self, clean, tmp_path, file_fs, argv,
+                                      fs):
+        # default < config file < --set < flag, read off the time column
+        if file_fs is not None:
+            cfg = tmp_path / "fs.cfg"
+            cfg.write_text(f"eval.fs = {file_fs}\n")
+            argv = ["--config", str(cfg)] + argv
+        out = tmp_path / "det.csv"
+        assert main(["detect", clean["csv"], *argv, "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert rows
+        assert all(float(r[1]) == int(r[0]) / fs for r in rows)
 
     def test_set_wins_over_config_file(self, clean, tmp_path):
         cfg = tmp_path / "wide.cfg"
@@ -504,6 +552,20 @@ class TestNumericInputs:
         (["detect", "{inf_hea}"], 3),
         (["detect", "{csv}", "--set", "detector.searchback_abs_s=inf"], 0),
         (["detect", "{csv}", "--set", "detector.spike_recovery_s=inf"], 0),
+        (["compare", "{csv}", "--annotations", "{ann}",
+          "--set", "detector.min_peak_separation_ms=1e300"], 0),
+        (["compare", "{csv}", "--annotations", "{ann}",
+          "--set", "pt.refractory_ms=1e300"], 0),
+        (["compare", "{csv}", "--annotations", "{ann}",
+          "--set", "detector.rr_history_beats=99999999999999999999"], 2),
+        (["detect", "{csv}", "--set", "detector.min_peak_separation_ms=1e308"],
+         2),
+        (["detect", "{csv}", "--set", "detector.searchback_abs_s=1e308"], 0),
+        (["detect", "{csv}", "--set", "detector.init_window_s=1e308"], 4),
+        (["detect", "{csv}", "--set", "detector.init_window_s=1e-300"], 0),
+        (["detect", "{csv}", "--set", "pipeline.band_low_hz=5e-324"], 2),
+        (["eval", "{csv}", "--annotations", "{ann}", "--tolerance-ms",
+          "1e308"], 0),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
     def test_exit_code_without_traceback(self, clean, tmp_path, capsys, argv,
                                          code):
@@ -540,6 +602,52 @@ class TestNumericInputs:
                      "pipeline.smooth_window_ms=1e6",
                      "-o", str(tmp_path / "out.csv")]) == 4
         assert "longer than signal" in capsys.readouterr().err
+
+
+# Every settable key but pipeline.filter_order, whose cost grows with its
+# value; it is drawn from a range the filter design handles quickly.
+_SETTING_KEYS = [f"{section}.{f.name}"
+                 for section, cls in (("pipeline", ptpp.PipelineConfig),
+                                      ("detector", ptpp.DetectorConfig),
+                                      ("pt", ptpp.PtConfig))
+                 for f in fields(cls) if f.name != "filter_order"]
+_SETTING_KEYS += ["eval.fs", "eval.tolerance_ms", "eval.dataset"]
+
+_setting_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1.7976931348623157e308",
+                     "1e999", "5e-324", "1e-300", "0", "-0", "-1", "",
+                     "true", "off", "x", "99999999999999999999",
+                     "-99999999999999999999"]),
+    st.floats().map(repr),
+    st.integers(-2**80, 2**80).map(str),
+    st.text(max_size=6),
+)
+
+
+class TestSettingsFuzz:
+    """Any mix of --set values runs or ends in a typed error; an exception
+    that escapes ``main`` fails the test by itself."""
+
+    @pytest.fixture(scope="class")
+    def short(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("short")
+        spec = write_spec(root / "spec.json", duration_s=8.0,
+                          noise_snr_db=15.0, seed=2)
+        assert main(["synth", spec, "-o", str(root / "rec")]) == 0
+        return root
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(pairs=st.lists(st.one_of(
+        st.tuples(st.sampled_from(_SETTING_KEYS), _setting_values),
+        st.tuples(st.just("pipeline.filter_order"),
+                  st.integers(1, 12).map(str))), max_size=4))
+    def test_exit_code_is_typed(self, short, pairs):
+        argv = ["compare", str(short / "rec.csv"),
+                "--annotations", str(short / "rec.ann"),
+                "-o", str(short / "out.csv")]
+        for key, value in pairs:
+            argv += ["--set", f"{key}={value}"]
+        assert main(argv) in (0, 2, 3, 4)
 
 
 class TestNonUtf8Input:

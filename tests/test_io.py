@@ -192,6 +192,9 @@ class TestLoadCsvOracle:
         "0.5\n-0.25\n\n3\n",
         "value\n0.5\n-0.25\n",
         "\n0.5\n",
+        "\ufeff0.5\n-0.25\n",
+        "\ufeffvalue\n0.5\n-0.25\n",
+        "\ufeff0,0.5\n1,-0.25\n",
     ])
     def test_well_formed_files_skip_the_line_loop(self, tmp_path, monkeypatch,
                                                   text):
@@ -204,6 +207,16 @@ class TestLoadCsvOracle:
 
         monkeypatch.setattr(ptpp.io, "_parse_csv_lines", refuse)
         assert _load_samples(path).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff0.5\n1.0\n2.0\n",
+        "\ufeffsample_index,value\n0,0.5\n1,1.0\n2,2.0\n",
+        "\ufeff0,0.5\n1,1.0\n2,2.0\n",
+    ], ids=["value", "header", "index_value"])
+    def test_byte_order_mark_keeps_the_first_sample(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _load_samples(path).tolist() == [0.5, 1.0, 2.0]
 
     def test_peak_memory_below_per_line_loop(self, tmp_path):
         # A 10-minute record at 360 Hz in the layout save_csv writes.
