@@ -162,6 +162,14 @@ def _open_record(path_str: str,
     return path, record, resolve_channel(record, args.channel)
 
 
+def _open_lead(path_str: str,
+               args: argparse.Namespace) -> tuple[Path, np.ndarray, float]:
+    """The resolved path, samples and sampling rate of the analysed lead;
+    the record's other leads are let go here."""
+    path, record, channel = _open_record(path_str, args)
+    return path, record.channels[channel].samples, record.sampling_rate_hz
+
+
 def resolve_channel(record: Record, selector: Optional[str]) -> int:
     labels = record.channel_labels()
     if selector is None:
@@ -243,9 +251,8 @@ def _metrics_row(detector: str, dataset: str, record_id: str, reports,
 # commands
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    path, record, channel = _open_record(args.records[0], args)
-    fs = record.sampling_rate_hz
-    run = run_detector(args.detector, record.channels[channel].samples, fs,
+    path, samples, fs = _open_lead(args.records[0], args)
+    run = run_detector(args.detector, samples, fs,
                        **args.run_cfgs[args.detector])
     rows = []
     for raw_index, tag in zip(run.r_peaks, run.provenance):
@@ -257,9 +264,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_stages(args: argparse.Namespace) -> int:
-    path, record, channel = _open_record(args.records[0], args)
-    samples = record.channels[channel].samples
-    stages = run_pipeline(samples, record.sampling_rate_hz,
+    path, samples, fs = _open_lead(args.records[0], args)
+    stages = run_pipeline(samples, fs,
                           args.run_cfgs[args.detector]["pipeline_cfg"])
     rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
              repr(float(stages.derived[i])), repr(float(stages.squared[i])),
@@ -277,14 +283,12 @@ def _evaluate(detectors: Sequence[str], args: argparse.Namespace):
     kept: dict[str, list] = {d: [] for d in detectors}  # (stem, fs, peaks)
     timed_reports: dict[str, list] = {d: [] for d in detectors}
     for rec_str, ann_path in zip(args.records, _annotation_paths(args)):
-        path, record, channel = _open_record(rec_str, args)
+        path, samples, fs = _open_lead(rec_str, args)
         reference = load_annotations(ann_path)
-        samples, fs = record.channels[channel].samples, record.sampling_rate_hz
         for detector in detectors:
             run, elapsed = timed_call(run_detector, detector, samples, fs,
                                       **args.run_cfgs[detector])
             peaks = run.r_peaks
-            del run  # its stages must not live through the next run
             report = match_beats(peaks, reference, fs, args.tolerance_ms,
                                  record_id=path.stem)
             timed_reports[detector].append((report, elapsed))

@@ -227,14 +227,22 @@ def _parse_signal_line(line: str, lineno: int, source: str) -> ChannelHeader:
     if len(tokens) < 2:
         raise ParseError(f"{source}: line {lineno}: signal line needs at least "
                          f"a file name and format code")
+
+    def _int(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit too
+            raise ParseError(f"{source}: line {lineno}: bad integer field "
+                             f"{text!r}") from None
+
     file_name = tokens[0]
     fmt_token = tokens[1]
-    if not fmt_token.isdigit():
+    if not (fmt_token.isascii() and fmt_token.isdigit()):
         # Samples-per-frame ("212x2"), skew (":") and byte offsets ("+") are
         # legal in the wild but outside what this reader handles.
         raise UnsupportedFormatError(
             f"{source}: line {lineno}: unsupported format spec {fmt_token!r}")
-    format_code = int(fmt_token)
+    format_code = _int(fmt_token)
 
     gain = WFDB_DEFAULT_GAIN
     explicit_baseline: Optional[int] = None
@@ -248,21 +256,17 @@ def _parse_signal_line(line: str, lineno: int, source: str) -> ChannelHeader:
             raise ParseError(
                 f"{source}: line {lineno}: bad gain field {tokens[2]!r}")
         if m.group(2) is not None:
-            explicit_baseline = int(m.group(2))
+            explicit_baseline = _int(m.group(2))
     if gain == 0.0:
         gain = WFDB_DEFAULT_GAIN
 
-    def _int_field(idx: int, default: int) -> int:
-        if len(tokens) <= idx:
-            return default
-        try:
-            return int(tokens[idx])
-        except ValueError:
-            raise ParseError(f"{source}: line {lineno}: bad integer field "
-                             f"{tokens[idx]!r}") from None
-
-    adc_zero = _int_field(4, 0)
+    adc_zero = _int(tokens[4]) if len(tokens) > 4 else 0
     baseline = explicit_baseline if explicit_baseline is not None else adc_zero
+    try:
+        float(baseline)  # the decoders subtract it from float64 samples
+    except OverflowError:
+        raise ParseError(f"{source}: line {lineno}: baseline {baseline} is "
+                         f"too large") from None
     label = " ".join(tokens[8:]) if len(tokens) > 8 else ""
     return ChannelHeader(file_name=file_name, format_code=format_code,
                          gain=gain, baseline=baseline, label=label)
@@ -325,9 +329,11 @@ def parse_wfdb_header(text: str, source: str = "<header>") -> HeaderInfo:
 
 
 def _to_millivolts(raw: np.ndarray, header: HeaderInfo) -> Record:
+    # One channel at a time, so only one float64 lead exists beyond those
+    # already converted.
     channels = []
     for i, ch in enumerate(header.channels):
-        mv = (raw[:, i] - ch.baseline) / ch.gain
+        mv = (raw[:, i].astype(np.float64) - ch.baseline) / ch.gain
         channels.append(Channel(label=ch.label, samples=mv,
                                 gain=ch.gain, baseline=ch.baseline))
     return Record(sampling_rate_hz=header.sampling_rate_hz,
@@ -355,16 +361,18 @@ def decode_format212(data: bytes, header: HeaderInfo) -> Record:
     buf = np.frombuffer(data, dtype=np.uint8, count=min(len(data), 3 * pairs))
     if len(buf) < 3 * pairs:  # tolerate a clipped final pad byte
         buf = np.concatenate([buf, np.zeros(3 * pairs - len(buf), np.uint8)])
-    groups = buf.reshape(-1, 3).astype(np.int32)
-    first = groups[:, 0] | ((groups[:, 1] & 0x0F) << 8)
-    second = groups[:, 2] | ((groups[:, 1] & 0xF0) << 4)
+    # Straight into one int32 array: the high bits go in by a shift, the
+    # low byte by an in-place or, from strided views of the bytes.
     flat = np.empty(2 * pairs, dtype=np.int32)
-    flat[0::2] = first
-    flat[1::2] = second
+    first, second = flat[0::2], flat[1::2]
+    np.left_shift(buf[1::3] & 0x0F, 8, out=first, dtype=np.int32)
+    first |= buf[0::3]
+    np.left_shift(buf[1::3] & 0xF0, 4, out=second, dtype=np.int32)
+    second |= buf[2::3]
     flat = flat[:total]
     flat[flat > 2047] -= 4096  # sign-extend from bit 11
-    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
-    return _to_millivolts(raw, header)
+    return _to_millivolts(flat.reshape(header.n_samples, header.n_channels),
+                          header)
 
 
 def decode_format16(data: bytes, header: HeaderInfo) -> Record:
@@ -380,8 +388,8 @@ def decode_format16(data: bytes, header: HeaderInfo) -> Record:
         raise ParseError(f"truncated format-16 stream: have {len(data)} bytes,"
                          f" need {need} (failed at byte {len(data)})")
     flat = np.frombuffer(data, dtype="<i2", count=total)
-    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
-    return _to_millivolts(raw, header)
+    return _to_millivolts(flat.reshape(header.n_samples, header.n_channels),
+                          header)
 
 
 def load_wfdb_record(header_path: str | Path) -> Record:
@@ -424,6 +432,9 @@ def _load_plain_annotations(path: Path) -> AnnotationSet:
                                  f"sample index: {line!r}") from None
             if idx < 0:
                 raise ParseError(f"{path}: line {lineno}: negative index")
+            if idx > np.iinfo(np.int64).max:  # beats are held as int64
+                raise ParseError(f"{path}: line {lineno}: index {idx} does "
+                                 f"not fit in int64")
             if indices and idx <= indices[-1]:
                 raise ParseError(f"{path}: line {lineno}: indices must be "
                                  f"strictly increasing")

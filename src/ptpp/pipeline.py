@@ -148,10 +148,15 @@ def flattop_kernel(width_samples: int) -> np.ndarray:
 
 def _causal_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # Trailing convolution with the left edge replicated, so y[n] depends on
-    # x[n - k] only and the output keeps the input length.
+    # x[n - k] only and the output keeps the input length. Only the first
+    # k - 1 outputs reach into the replicated edge: they are redone from a
+    # padded head of 2k - 2 samples rather than from a padded full copy.
     k = len(kernel)
-    padded = np.concatenate([np.full(k - 1, x[0]), x])
-    return np.convolve(padded, kernel, mode="valid")
+    y = np.convolve(x, kernel, mode="full")[:len(x)]
+    if k > 1:
+        head = np.concatenate([np.full(k - 1, x[0]), x[:k - 1]])
+        y[:k - 1] = np.convolve(head, kernel, mode="valid")
+    return y
 
 
 def smooth(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 from .baseline import PtConfig, detect_pt
 from .detector import DetectionResult, DetectorConfig, detect, localize_rpeaks
 from .errors import ConfigError
-from .pipeline import PipelineConfig, StageOutputs, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 
 DETECTORS = ("ptpp", "pt")
 
@@ -28,7 +28,6 @@ def default_pipeline_config(detector: str) -> PipelineConfig:
 class DetectorRun:
     r_peaks: np.ndarray  # raw-trace coordinates, after localization
     detection: DetectionResult  # integrated-signal coordinates
-    stages: StageOutputs
     # One tag per localized peak: that of the detection it came from.
     provenance: list[str]
 
@@ -37,19 +36,26 @@ def run_detector(detector: str, samples: np.ndarray, fs: float,
                  pipeline_cfg: PipelineConfig | None = None,
                  detector_cfg: DetectorConfig | None = None,
                  pt_cfg: PtConfig | None = None) -> DetectorRun:
-    """Run one detector end to end on a single channel."""
+    """Run one detector end to end on a single channel.
+
+    Each stage array is let go as soon as nothing needs it: the decision
+    layer reads only the band-passed and integrated signals, localization
+    only the delays. :func:`ptpp.run_pipeline` returns every stage.
+    """
     if detector not in DETECTORS:
         raise ConfigError(f"unknown detector {detector!r}, expected one of "
                           f"{DETECTORS}")
     if pipeline_cfg is None:
         pipeline_cfg = default_pipeline_config(detector)
     stages = run_pipeline(samples, fs, pipeline_cfg)
+    stages.derived = stages.squared = stages.smoothed = np.empty(0)
     if detector == "ptpp":
         detection = detect(stages, fs, detector_cfg)
     else:
         detection = detect_pt(stages, fs, pt_cfg)
+    delays = stages.stage_delays_samples
+    del stages
     sources: list[int] = []
-    peaks = localize_rpeaks(samples, detection, stages.stage_delays_samples, fs,
-                            sources=sources)
-    return DetectorRun(r_peaks=peaks, detection=detection, stages=stages,
+    peaks = localize_rpeaks(samples, detection, delays, fs, sources=sources)
+    return DetectorRun(r_peaks=peaks, detection=detection,
                        provenance=[detection.provenance[k] for k in sources])

@@ -5,7 +5,9 @@ comparative detector tests and the acceptance suite, independent
 re-implementations of the WFDB byte formats (used as oracles against the
 parsers in :mod:`ptpp.io`), the loops that ``load_csv``, ``localize_rpeaks``,
 candidate thinning and the band-channel amplitude replaced (oracles for their
-vectorised forms), and the locator for the optional real-record spot check.
+vectorised forms), the full-copy convolution and WFDB decoders (oracles for
+their leaner forms), and the locator for the optional real-record spot
+check.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import ptpp
+import ptpp.io
 
 FS = 360.0
 DATA_ROOT_ENV = "PTPP_DATA_ROOT"
@@ -265,6 +268,80 @@ def band_peak_reference(filtered, i: int, align: int, fs: float) -> float:
     c = min(max(i - align, 0), n - 1)
     lo = max(0, c - half_win)
     return float(abs_filt[lo:min(n, c + half_win + 1)].max())
+
+
+# ---------------------------------------------------------------------------
+# Full-copy reference implementations (oracles): the convolution and WFDB
+# decoders as they were before they stopped holding full-length copies.
+
+def causal_convolve_reference(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``ptpp.pipeline._causal_convolve`` over a full-length padded copy."""
+    # Trailing convolution with the left edge replicated, so y[n] depends on
+    # x[n - k] only and the output keeps the input length.
+    k = len(kernel)
+    padded = np.concatenate([np.full(k - 1, x[0]), x])
+    return np.convolve(padded, kernel, mode="valid")
+
+
+def _to_millivolts_reference(raw: np.ndarray,
+                             header: ptpp.io.HeaderInfo) -> ptpp.Record:
+    channels = []
+    for i, ch in enumerate(header.channels):
+        mv = (raw[:, i] - ch.baseline) / ch.gain
+        channels.append(ptpp.io.Channel(label=ch.label, samples=mv,
+                                        gain=ch.gain, baseline=ch.baseline))
+    return ptpp.Record(sampling_rate_hz=header.sampling_rate_hz,
+                       channels=channels, duration_samples=raw.shape[0])
+
+
+def decode_format212_reference(data: bytes,
+                               header: ptpp.io.HeaderInfo) -> ptpp.Record:
+    """``ptpp.decode_format212`` with its ``(pairs, 3)`` int32 upcast and
+    float64 ``(n, channels)`` copy."""
+    for ch in header.channels:
+        if ch.format_code != 212:
+            raise ptpp.UnsupportedFormatError(
+                f"channel {ch.label!r} declares format {ch.format_code}, "
+                f"expected 212")
+    total = header.n_samples * header.n_channels
+    need = (3 * total + 1) // 2  # ceil(1.5 * total)
+    if len(data) < need:
+        raise ptpp.ParseError(
+            f"truncated format-212 stream: have {len(data)} "
+            f"bytes, need {need} (failed at byte {len(data)})")
+    pairs = (total + 1) // 2
+    buf = np.frombuffer(data, dtype=np.uint8, count=min(len(data), 3 * pairs))
+    if len(buf) < 3 * pairs:  # tolerate a clipped final pad byte
+        buf = np.concatenate([buf, np.zeros(3 * pairs - len(buf), np.uint8)])
+    groups = buf.reshape(-1, 3).astype(np.int32)
+    first = groups[:, 0] | ((groups[:, 1] & 0x0F) << 8)
+    second = groups[:, 2] | ((groups[:, 1] & 0xF0) << 4)
+    flat = np.empty(2 * pairs, dtype=np.int32)
+    flat[0::2] = first
+    flat[1::2] = second
+    flat = flat[:total]
+    flat[flat > 2047] -= 4096  # sign-extend from bit 11
+    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
+    return _to_millivolts_reference(raw, header)
+
+
+def decode_format16_reference(data: bytes,
+                              header: ptpp.io.HeaderInfo) -> ptpp.Record:
+    """``ptpp.decode_format16`` with its float64 ``(n, channels)`` copy."""
+    for ch in header.channels:
+        if ch.format_code != 16:
+            raise ptpp.UnsupportedFormatError(
+                f"channel {ch.label!r} declares format {ch.format_code}, "
+                f"expected 16")
+    total = header.n_samples * header.n_channels
+    need = 2 * total
+    if len(data) < need:
+        raise ptpp.ParseError(
+            f"truncated format-16 stream: have {len(data)} bytes,"
+            f" need {need} (failed at byte {len(data)})")
+    flat = np.frombuffer(data, dtype="<i2", count=total)
+    raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
+    return _to_millivolts_reference(raw, header)
 
 
 # ---------------------------------------------------------------------------

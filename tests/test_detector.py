@@ -6,6 +6,7 @@ equal to or deliberately different from the integrated channel) so each
 branch fires in a controlled, verifiable way.
 """
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -527,3 +528,21 @@ class TestRrTracker:
     def test_bad_history(self):
         with pytest.raises(ptpp.ConfigError):
             RrTracker(0)
+
+
+class TestRunDetectorMemory:
+    @pytest.mark.parametrize("detector", ptpp.DETECTORS)
+    def test_peak_within_five_and_a_quarter_records(self, detector):
+        # The pipeline's five stages at their peak, with no full-length
+        # padded copy and no stage outliving the layer that reads it.
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=600.0, seed=3))
+        x = record.channels[0].samples
+        ptpp.run_detector(detector, x[:3600], 360.0)  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ptpp.run_detector(detector, x, 360.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * x.nbytes

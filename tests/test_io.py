@@ -21,8 +21,9 @@ import ptpp
 import ptpp.io
 from ptpp.io import BEAT_CODE_BY_SYMBOL
 
-from helpers import (AtrStream, atr_word, encode212, load_csv_reference,
-                     make_header, sign_extend_12)
+from helpers import (AtrStream, atr_word, decode_format16_reference,
+                     decode_format212_reference, encode212,
+                     load_csv_reference, make_header, sign_extend_12)
 
 GOLDEN_100_HEA = """\
 100 2 360 650000 0:0:0 0/0/0
@@ -380,6 +381,243 @@ class TestFormat16:
         header = ptpp.parse_wfdb_header(make_header("r", 360, 4, ["r.dat 16"]))
         with pytest.raises(ptpp.ParseError, match="truncated"):
             ptpp.decode_format16(b"\x00" * 6, header)
+
+
+def _same_record(got: ptpp.Record, want: ptpp.Record) -> None:
+    assert got.sampling_rate_hz == want.sampling_rate_hz
+    assert got.duration_samples == want.duration_samples
+    assert len(got.channels) == len(want.channels)
+    for a, b in zip(got.channels, want.channels):
+        assert (a.label, a.gain, a.baseline) == (b.label, b.gain, b.baseline)
+        assert a.samples.dtype == b.samples.dtype
+        assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def _decode_both(decode, reference, data, header):
+    """Both decoders' records, or both their (type, message) errors."""
+    out = []
+    for fn in (decode, reference):
+        try:
+            out.append(fn(data, header))
+        except ptpp.PtppError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@st.composite
+def wfdb_streams(draw, fmt):
+    """A header for 1-4 channels of ``fmt`` with mixed gains and baselines,
+    and random bytes sized to it: exact, a clipped final pad byte (format
+    212, odd totals), a few spare bytes, or short by one."""
+    n_channels = draw(st.integers(1, 4))
+    n_samples = draw(st.integers(0, 300))
+    gains = st.sampled_from(["200", "0", "-1.5", "1e-3"])
+    lines = [f"r.dat {fmt} {draw(gains)}({draw(st.integers(-5000, 5000))})"
+             f" 12 0 0 0 0 c{i}" for i in range(n_channels)]
+    header = ptpp.parse_wfdb_header(make_header("r", 360, n_samples, lines))
+    total = n_samples * n_channels
+    exact = 3 * ((total + 1) // 2) if fmt == 212 else 2 * total
+    size = max(0, exact + draw(st.sampled_from([0, -1, 1, 5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes(), header
+
+
+class TestDecoderReferences:
+    """The decoders that unpack straight into integers equal the full-copy
+    decoders they replaced, byte for byte, errors included."""
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(stream=wfdb_streams(212))
+    def test_format212_matches_reference(self, stream):
+        got, want = _decode_both(ptpp.decode_format212,
+                                 decode_format212_reference, *stream)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _same_record(got, want)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(stream=wfdb_streams(16))
+    def test_format16_matches_reference(self, stream):
+        got, want = _decode_both(ptpp.decode_format16,
+                                 decode_format16_reference, *stream)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _same_record(got, want)
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3, 4])
+    def test_all_4096_codes_match_reference(self, n_channels):
+        codes = list(range(4096 - 4096 % n_channels))
+        header = _header_212(len(codes) // n_channels, n_channels, gain=200.0)
+        data = encode212(codes)
+        _same_record(ptpp.decode_format212(data, header),
+                     decode_format212_reference(data, header))
+
+    def test_clipped_pad_byte_on_odd_total(self):
+        data = encode212([5, -6, 7])[:-1]  # the pad sample's last byte
+        header = _header_212(3, 1)
+        _same_record(ptpp.decode_format212(data, header),
+                     decode_format212_reference(data, header))
+
+
+# Tokens a header field may hold in the wild or by accident: digits int()
+# refuses or cannot take in one piece, values past a float, format specs
+# this reader does not take, and arbitrary short text.
+_HOSTILE_TOKENS = st.one_of(
+    st.sampled_from(["\u00b2", "\u0661\u0662", "9" * 5000, "1" + "0" * 400,
+                     "200(" + "9" * 400 + ")", "200(" + "9" * 5000 + ")",
+                     "1e999", "nan", "-0", "-1", "0", "212x2", "80",
+                     "360/360", "200(0)/mV", "+5", "0x10"]),
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.text(max_size=8).map(lambda t: "".join(t.split()) or "x"),
+)
+# The fields each header line has parsed (record line, signal line).
+_PARSED_FIELDS = ((1, 2, 3), (1, 2, 4))
+
+
+@st.composite
+def fuzzed_headers(draw):
+    """A valid 1-3 channel header of format 212 or 16 with up to three of
+    its parsed fields swapped for hostile tokens and its signal lines cut
+    short at random."""
+    n = draw(st.integers(1, 3))
+    fmt = draw(st.sampled_from(["212", "16"]))
+    rows = [["r", str(n), "360", str(draw(st.integers(0, 40)))]]
+    for i in range(n):
+        cut = draw(st.integers(2, 9))
+        rows.append(["r.dat", fmt, "200(1024)/mV", "12", "1024", "0", "0",
+                     "0", f"c{i}"][:cut])
+    for _ in range(draw(st.integers(1, 3))):
+        row = rows[draw(st.integers(0, n))]
+        fields = [f for f in _PARSED_FIELDS[row is not rows[0]]
+                  if f < len(row)]
+        if fields:
+            row[draw(st.sampled_from(fields))] = draw(_HOSTILE_TOKENS)
+    return "\n".join(" ".join(row) for row in rows) + "\n"
+
+
+class TestParserFuzz:
+    """Headers, signal bytes and annotation files, however malformed, give
+    a result or a ``PtppError``; nothing else escapes."""
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(text=st.one_of(fuzzed_headers(), st.text(max_size=200)))
+    def test_header_parser(self, text):
+        try:
+            ptpp.parse_wfdb_header(text)
+        except ptpp.PtppError:
+            pass
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(text=fuzzed_headers(), data=st.data())
+    def test_decoders(self, text, data):
+        try:
+            header = ptpp.parse_wfdb_header(text)
+        except ptpp.PtppError:
+            return
+        # Mostly enough bytes to get past the length check.
+        need = min(2 * header.n_samples * header.n_channels, 512)
+        payload = data.draw(st.binary(min_size=max(0, need - 2),
+                                      max_size=need + 4))
+        for decode in (ptpp.decode_format212, ptpp.decode_format16):
+            try:
+                decode(payload, header)
+            except ptpp.PtppError:
+                pass
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.one_of(
+        st.binary(max_size=96),
+        st.lists(st.tuples(st.sampled_from([0, 1, 5, 28, 45, 59, 60, 61,
+                                            62, 63]),
+                           st.integers(0, 1023), st.binary(max_size=4)),
+                 max_size=24).map(lambda words: b"".join(
+                     atr_word(c, d) + (extra if c == AtrStream.SKIP else b"")
+                     for c, d, extra in words))))
+    def test_atr_reader(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.atr"
+            path.write_bytes(data)
+            try:
+                ann = ptpp.load_annotations(path)
+            except ptpp.PtppError:
+                return
+        beats = ann.beat_samples
+        assert beats.dtype == np.int64 and np.all(beats >= 0)
+        assert np.all(np.diff(beats) > 0)
+        assert len(ann.beat_labels) == len(beats)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        indices=st.lists(st.integers(0, 2 ** 70), max_size=6,
+                         unique=True).map(sorted),
+        junk=st.one_of(st.none(), st.tuples(st.integers(0, 6),
+                                             st.text(max_size=6))))
+    def test_plain_annotation_reader(self, indices, junk):
+        lines = [str(i) for i in indices]
+        if junk is not None:
+            lines.insert(junk[0], junk[1])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.txt"
+            path.write_text("\n".join(lines), encoding="utf-8")
+            try:
+                ptpp.load_annotations(path)
+            except ptpp.PtppError:
+                pass
+
+
+class TestParserFuzzRegressions:
+    """Inputs the fuzz found that once ended in an untyped exception."""
+
+    def test_non_ascii_digit_format_code(self):
+        # "\u00b2".isdigit() is True, but int() refuses it (ValueError)
+        with pytest.raises(ptpp.UnsupportedFormatError, match="format spec"):
+            ptpp.parse_wfdb_header(make_header("r", 360, 2, ["r.dat \u00b2"]))
+
+    @pytest.mark.parametrize("line", [
+        "r.dat " + "2" * 5000,
+        "r.dat 212 200(" + "1" * 5000 + ")",
+    ], ids=["format_code", "explicit_baseline"])
+    def test_integer_past_the_digit_limit(self, line):
+        # int() refuses over 4300 digits with a ValueError
+        with pytest.raises(ptpp.ParseError, match="bad integer field"):
+            ptpp.parse_wfdb_header(make_header("r", 360, 2, [line]))
+
+    def test_baseline_too_large_for_a_float(self):
+        # it parsed, then the decoder's float subtraction overflowed
+        line = "r.dat 212 200(" + "9" * 400 + ")"
+        with pytest.raises(ptpp.ParseError, match="baseline"):
+            ptpp.parse_wfdb_header(make_header("r", 360, 2, [line]))
+
+    def test_plain_annotation_index_past_int64(self, tmp_path):
+        # np.asarray(..., dtype=np.int64) raised OverflowError
+        p = tmp_path / "a.txt"
+        p.write_text(f"1\n{2 ** 63}\n")
+        with pytest.raises(ptpp.ParseError, match="line 2.*int64"):
+            ptpp.load_annotations(p)
+        p.write_text(f"1\n{2 ** 63 - 1}\n")
+        assert ptpp.load_annotations(p).beat_samples[-1] == 2 ** 63 - 1
+
+
+class TestDecoderMemory:
+    def test_format212_growth_within_1_6x_of_its_output(self):
+        # Two leads of 10 min: besides the float64 leads, only one int32
+        # copy of the samples (half their size) should exist at the peak.
+        n = 360 * 600
+        data = np.random.default_rng(9).integers(
+            0, 256, size=3 * n, dtype=np.uint8).tobytes()
+        header = _header_212(n, 2, gain=200.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            record = ptpp.decode_format212(data, header)
+            growth = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = sum(ch.samples.nbytes for ch in record.channels)
+        assert output == 8 * 2 * n
+        assert growth <= 1.6 * output
 
 
 class TestLoadWfdbRecord:

@@ -9,7 +9,9 @@ import pytest
 
 import ptpp
 from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
-                           FLATTOP_A4)
+                           FLATTOP_A4, MIN_SMOOTH_SAMPLES, _causal_convolve)
+
+from helpers import causal_convolve_reference
 
 FS = 360.0
 
@@ -224,6 +226,48 @@ class TestMwi:
         y = ptpp.mwi(x, w)
         assert np.all(y >= np.min(x) - 1e-9 * abs(np.min(x)) - 1e-12)
         assert np.all(y <= np.max(x) + 1e-9 * abs(np.max(x)) + 1e-12)
+
+
+@st.composite
+def convolve_cases(draw):
+    """A signal of 1-2000 samples and a kernel no longer than it (often
+    exactly as long): 1-tap, flat-top, MWI or random taps."""
+    n = draw(st.integers(min_value=1, max_value=2000))
+    width = draw(st.one_of(st.just(n), st.integers(min_value=1, max_value=n)))
+    kind = draw(st.sampled_from(["one_tap", "flattop", "mwi", "random"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "one_tap":
+        kernel = np.array([draw(st.floats(-10, 10, allow_nan=False))])
+    elif kind == "flattop" and width >= MIN_SMOOTH_SAMPLES:
+        kernel = ptpp.flattop_kernel(width)
+    elif kind == "random":
+        kernel = rng.normal(size=width)
+    else:
+        kernel = np.full(width, 1.0 / width)
+    x = rng.normal(size=n) * 10.0 ** draw(st.integers(-6, 6))
+    if draw(st.booleans()):
+        x = x * x  # the squared stage the pipeline convolves
+    return x, kernel
+
+
+class TestCausalConvolveReference:
+    """The edge-recomputing convolution equals the full-length padded copy
+    it replaced, byte for byte."""
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(case=convolve_cases())
+    def test_matches_padded_reference(self, case):
+        x, kernel = case
+        got = _causal_convolve(x, kernel)
+        want = causal_convolve_reference(x, kernel)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_pipeline_windows_on_a_long_record(self):
+        x = np.random.default_rng(5).normal(size=100_000) ** 2
+        for kernel in (ptpp.flattop_kernel(22), np.full(54, 1.0 / 54)):
+            assert (_causal_convolve(x, kernel).tobytes()
+                    == causal_convolve_reference(x, kernel).tobytes())
 
 
 class TestRunPipeline:
