@@ -64,10 +64,6 @@ def parse_config_text(text: str, source: str = "config") -> dict[str, str]:
     return pairs
 
 
-def format_config(pairs: dict[str, str]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in sorted(pairs.items()))
-
-
 def _coerce_like(default_value, text: str, full_key: str):
     try:
         if isinstance(default_value, bool):
@@ -147,9 +143,10 @@ def _resolve_input(path_str: str) -> Path:
     raise ConfigError(f"input file not found: {path_str}{hint}")
 
 
-def _open_record(path_str: str,
-                 args: argparse.Namespace) -> tuple[Path, Record, int]:
-    """The resolved path, decoded record and channel index of one record."""
+def _open_lead(path_str: str,
+               args: argparse.Namespace) -> tuple[Path, np.ndarray, float]:
+    """The resolved path, samples and sampling rate of the analysed lead;
+    the record's other leads are let go here."""
     path = _resolve_input(path_str)
     suffix = path.suffix.lower()
     if suffix == ".hea":
@@ -159,14 +156,7 @@ def _open_record(path_str: str,
     else:
         raise ParseError(f"cannot infer record format from '{path.name}' "
                          "(expected .hea, .csv or .txt)")
-    return path, record, resolve_channel(record, args.channel)
-
-
-def _open_lead(path_str: str,
-               args: argparse.Namespace) -> tuple[Path, np.ndarray, float]:
-    """The resolved path, samples and sampling rate of the analysed lead;
-    the record's other leads are let go here."""
-    path, record, channel = _open_record(path_str, args)
+    channel = resolve_channel(record, args.channel)
     return path, record.channels[channel].samples, record.sampling_rate_hz
 
 
@@ -280,29 +270,26 @@ def _cmd_stages(args: argparse.Namespace) -> int:
 def _evaluate(detectors: Sequence[str], args: argparse.Namespace):
     """Shared machinery for eval/compare: per-record rows + pooled rows.
     Each record is read once; of a detector run only its peaks live on."""
-    kept: dict[str, list] = {d: [] for d in detectors}  # (stem, fs, peaks)
-    timed_reports: dict[str, list] = {d: [] for d in detectors}
+    # Per detector, one (report, elapsed, fs, peaks) per record.
+    runs: dict[str, list] = {d: [] for d in detectors}
     for rec_str, ann_path in zip(args.records, _annotation_paths(args)):
         path, samples, fs = _open_lead(rec_str, args)
         reference = load_annotations(ann_path)
         for detector in detectors:
             run, elapsed = timed_call(run_detector, detector, samples, fs,
                                       **args.run_cfgs[detector])
-            peaks = run.r_peaks
-            report = match_beats(peaks, reference, fs, args.tolerance_ms,
+            report = match_beats(run.r_peaks, reference, fs, args.tolerance_ms,
                                  record_id=path.stem)
-            timed_reports[detector].append((report, elapsed))
-            kept[detector].append((path.stem, fs, peaks))
+            runs[detector].append((report, elapsed, fs, run.r_peaks))
     rows = []
     for detector in detectors:
-        for report, elapsed in timed_reports[detector]:
+        for report, elapsed, _, _ in runs[detector]:
             rows.append(_metrics_row(detector, args.dataset, report.record_id,
                                      [report], elapsed))
-        rows.append(_metrics_row(
-            detector, args.dataset, POOLED_ROW_ID,
-            [report for report, _ in timed_reports[detector]],
-            sum(elapsed for _, elapsed in timed_reports[detector])))
-    return rows, kept
+        reports, times, *_ = zip(*runs[detector])
+        rows.append(_metrics_row(detector, args.dataset, POOLED_ROW_ID,
+                                 reports, sum(times)))
+    return rows, runs
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -314,12 +301,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows, kept = _evaluate(list(DETECTORS), args)
+    rows, runs = _evaluate(list(DETECTORS), args)
     out = Path(args.output or "compare_metrics.csv")
     _write_csv(out, METRICS_HEADER, rows)
 
     disagreement_rows = []
-    for (rec_id, fs, peaks_a), (_, _, peaks_b) in zip(kept["ptpp"], kept["pt"]):
+    for (scored, _, fs, peaks_a), (*_, peaks_b) in zip(runs["ptpp"], runs["pt"]):
+        rec_id = scored.record_id
         other = AnnotationSet(beat_samples=np.asarray(peaks_b, dtype=np.int64),
                               beat_labels=None, source_format="detections")
         report = match_beats(peaks_a, other, fs, args.tolerance_ms)
@@ -344,16 +332,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    path, record, channel = _open_record(args.records[0], args)
+    path, samples, fs = _open_lead(args.records[0], args)
     rows, medians = [], {}
     for detector in DETECTORS:
-        median_s = time_detector(detector, record, channel=channel,
-                                 repeats=args.repeats,
+        median_s = time_detector(detector, samples, fs, repeats=args.repeats,
                                  **args.run_cfgs[detector])
         medians[detector] = median_s
-        rows.append([detector, path.stem, record.duration_samples,
-                     repr(record.sampling_rate_hz), f"{median_s:.4f}",
-                     max(5, args.repeats), "serialized-single-thread"])
+        rows.append([detector, path.stem, len(samples), repr(fs),
+                     f"{median_s:.4f}", max(5, args.repeats),
+                     "serialized-single-thread"])
     out = Path(args.output or "bench.csv")
     _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
                      "median_s", "runs", "note"], rows)
@@ -389,77 +376,61 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(sub: argparse.ArgumentParser, *, record_nargs=None) -> None:
-    if record_nargs:
-        sub.add_argument("records", nargs=record_nargs, metavar="RECORD",
-                         help="record file (.hea for WFDB, .csv/.txt for "
-                              "plain samples)")
-    sub.add_argument("--channel", help="channel label or index "
-                                       "(default: MLII/II if present, else 0)")
-    sub.add_argument("--config", dest="config_file", metavar="FILE",
-                     help="key=value config file")
-    sub.add_argument("--set", dest="overrides", action="append", default=[],
-                     metavar="KEY=VALUE",
-                     help="override one config key (repeatable; wins over "
-                          "--config)")
-    sub.add_argument("--fs", type=float,
-                     help="sampling rate for .csv/.txt records (default 360)")
-    sub.add_argument("--output", "-o", help="output path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptpp",
         description="Pan-Tompkins++ R-peak detection toolkit")
     commands = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several commands, each declared once in a parent.
+    one_record, many_records, common, detector, scoring = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    for records, nargs in ((one_record, 1), (many_records, "+")):
+        records.add_argument("records", nargs=nargs, metavar="RECORD",
+                             help="record file (.hea for WFDB, .csv/.txt for "
+                                  "plain samples)")
+    common.add_argument("--channel", help="channel label or index (default: "
+                                          "MLII/II if present, else 0)")
+    common.add_argument("--config", dest="config_file", metavar="FILE",
+                        help="key=value config file")
+    common.add_argument("--set", dest="overrides", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="override one config key (repeatable; wins over "
+                             "--config)")
+    common.add_argument("--fs", type=float, help="sampling rate for .csv/.txt "
+                                                 "records (default 360)")
+    common.add_argument("--output", "-o", help="output path")
+    detector.add_argument("--detector", choices=DETECTORS, default="ptpp")
+    scoring.add_argument("--annotations", nargs="*", default=[], metavar="FILE",
+                         help="annotation files, one per record "
+                              "(default: sibling .atr/.ann/.txt)")
+    scoring.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
+    scoring.add_argument("--dataset", help="dataset label for the report")
 
-    detect = commands.add_parser("detect", help="write a detection CSV")
-    _add_common(detect, record_nargs=1)
-    detect.add_argument("--detector", choices=DETECTORS, default="ptpp")
-    detect.set_defaults(handler=_cmd_detect)
+    def command(name, handler, summary, *parents):
+        sub = commands.add_parser(name, help=summary, parents=parents)
+        sub.set_defaults(handler=handler)
+        return sub
 
-    evaluate = commands.add_parser(
-        "eval", help="score detections against annotations")
-    _add_common(evaluate, record_nargs="+")
-    evaluate.add_argument("--detector", choices=DETECTORS, default="ptpp")
-    evaluate.add_argument("--annotations", nargs="*", default=[],
-                          metavar="FILE",
-                          help="annotation files, one per record "
-                               "(default: sibling .atr/.ann/.txt)")
-    evaluate.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
-    evaluate.add_argument("--dataset", help="dataset label for the report")
-    evaluate.set_defaults(handler=_cmd_eval)
-
-    compare = commands.add_parser(
-        "compare", help="run both detectors and report side by side")
-    _add_common(compare, record_nargs="+")
-    compare.add_argument("--annotations", nargs="*", default=[],
-                         metavar="FILE")
-    compare.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")
-    compare.add_argument("--dataset")
+    command("detect", _cmd_detect, "write a detection CSV",
+            one_record, common, detector)
+    command("eval", _cmd_eval, "score detections against annotations",
+            many_records, common, detector, scoring)
+    compare = command("compare", _cmd_compare,
+                      "run both detectors and report side by side",
+                      many_records, common, scoring)
     compare.add_argument("--disagreements", metavar="FILE",
                          help="where to write the per-record disagreement "
                               "list")
-    compare.set_defaults(handler=_cmd_compare)
-
-    stages = commands.add_parser(
-        "stages", help="dump every pipeline stage for one record")
-    _add_common(stages, record_nargs=1)
-    stages.add_argument("--detector", choices=DETECTORS, default="ptpp")
-    stages.set_defaults(handler=_cmd_stages)
-
-    bench = commands.add_parser(
-        "bench", help="time both detectors on one record")
-    _add_common(bench, record_nargs=1)
+    command("stages", _cmd_stages, "dump every pipeline stage for one record",
+            one_record, common, detector)
+    bench = command("bench", _cmd_bench, "time both detectors on one record",
+                    one_record, common)
     bench.add_argument("--repeats", type=int, default=5)
-    bench.set_defaults(handler=_cmd_bench)
-
-    synth = commands.add_parser(
-        "synth", help="render a synthetic record from a JSON spec")
+    synth = command("synth", _cmd_synth,
+                    "render a synthetic record from a JSON spec")
     synth.add_argument("spec_file", metavar="SPEC_JSON")
     synth.add_argument("--output", "-o",
                        help="output stem (writes <stem>.csv and <stem>.ann)")
-    synth.set_defaults(handler=_cmd_synth)
     return parser
 
 
@@ -474,6 +445,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file that cannot be read or written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"config error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ import numbers
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -311,14 +311,11 @@ def timed_call(fn, *args, **kwargs) -> tuple:
     return result, time.perf_counter() - started
 
 
-def time_detector(detector: str, record: Record, *, channel: int = 0,
-                  repeats: int = 5, pipeline_cfg=None, detector_cfg=None,
-                  pt_cfg=None) -> float:
-    """Median wall-clock seconds for pipeline + decision + localization
-    (file I/O excluded; at least five runs)."""
-    samples = record.channels[channel].samples
-    times = [timed_call(run_detector, detector, samples,
-                        record.sampling_rate_hz, pipeline_cfg=pipeline_cfg,
-                        detector_cfg=detector_cfg, pt_cfg=pt_cfg)[1]
+def time_detector(detector: str, samples: np.ndarray, fs: float, *,
+                  repeats: int = 5, **configs) -> float:
+    """Median wall-clock seconds of ``run_detector(detector, samples, fs,
+    **configs)``: pipeline + decision + localization, file I/O excluded,
+    over at least five runs."""
+    times = [timed_call(run_detector, detector, samples, fs, **configs)[1]
              for _ in range(max(5, repeats))]
     return float(statistics.median(times))

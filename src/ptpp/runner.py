@@ -42,12 +42,8 @@ def run_detector(detector: str, samples: np.ndarray, fs: float,
     layer reads only the band-passed and integrated signals, localization
     only the delays. :func:`ptpp.run_pipeline` returns every stage.
     """
-    if detector not in DETECTORS:
-        raise ConfigError(f"unknown detector {detector!r}, expected one of "
-                          f"{DETECTORS}")
-    if pipeline_cfg is None:
-        pipeline_cfg = default_pipeline_config(detector)
-    stages = run_pipeline(samples, fs, pipeline_cfg)
+    default_cfg = default_pipeline_config(detector)  # ConfigError if unknown
+    stages = run_pipeline(samples, fs, pipeline_cfg or default_cfg)
     stages.derived = stages.squared = stages.smoothed = np.empty(0)
     if detector == "ptpp":
         detection = detect(stages, fs, detector_cfg)

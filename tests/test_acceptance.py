@@ -271,9 +271,10 @@ def test_criterion_7_parser_goldens(acceptance):
 def test_criterion_8_throughput(acceptance):
     with acceptance(8) as note:
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=1800.0))
-        median_new = ptpp.time_detector("ptpp", record, repeats=5)
+        samples, fs = record.channels[0].samples, record.sampling_rate_hz
+        median_new = ptpp.time_detector("ptpp", samples, fs, repeats=5)
         assert median_new < 18.0
-        median_old = ptpp.time_detector("pt", record, repeats=5)
+        median_old = ptpp.time_detector("pt", samples, fs, repeats=5)
         ratio = median_new / median_old
         note(f"30-min record: median {median_new:.3f} s over 5 runs "
              f"(budget 18 s); ptpp/pt ratio {ratio:.2f} (informational)")

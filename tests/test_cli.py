@@ -1,5 +1,6 @@
 """End-to-end command-line tests; every command runs in-process via main()."""
 
+import argparse
 import csv
 import json
 from dataclasses import fields
@@ -11,11 +12,11 @@ import pytest
 
 import ptpp
 from ptpp.cli import (DETECTIONS_HEADER, METRICS_HEADER, POOLED_ROW_ID,
-                      STAGES_HEADER, format_config, main, parse_config_text,
+                      STAGES_HEADER, build_parser, main, parse_config_text,
                       resolve_channel)
 from ptpp.io import Channel, Record
 
-from helpers import make_header
+from helpers import encode212, make_header
 
 
 def read_csv(path):
@@ -62,15 +63,57 @@ class TestConfigText:
         with pytest.raises(ptpp.ConfigError, match="main.cfg:2"):
             parse_config_text("a.b = 1\nnonsense\n", source="main.cfg")
 
-    def test_round_trip_lossless(self):
-        pairs = {"pipeline.band_high_hz": "18.0",
-                 "detector.min_peak_separation_ms": "231.0",
-                 "eval.dataset": "two words"}
-        assert parse_config_text(format_config(pairs)) == pairs
+    def test_parse_strips_and_keeps_inner_spaces(self):
+        pairs = parse_config_text("  pipeline.band_high_hz=18.0\n"
+                                  "eval.dataset =  two words  \n"
+                                  "a.b = 1\na.b = 2\n")
+        assert pairs == {"pipeline.band_high_hz": "18.0",
+                         "eval.dataset": "two words", "a.b": "2"}
 
-    def test_format_sorted_and_stable(self):
-        text = format_config({"b.x": "2", "a.y": "1"})
-        assert text == "a.y = 1\nb.x = 2\n"
+
+# Every action of every subcommand: option strings, dest, default, nargs,
+# choices and type, in declaration order.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, 0, None, None)
+_COMMON = [
+    (("--channel",), "channel", None, None, None, None),
+    (("--config",), "config_file", None, None, None, None),
+    (("--set",), "overrides", [], None, None, None),
+    (("--fs",), "fs", None, None, None, float),
+    (("--output", "-o"), "output", None, None, None, None),
+]
+_DETECTOR = (("--detector",), "detector", "ptpp", None, ("ptpp", "pt"), None)
+_SCORING = [
+    (("--annotations",), "annotations", [], "*", None, None),
+    (("--tolerance-ms",), "tolerance_ms", None, None, None, float),
+    (("--dataset",), "dataset", None, None, None, None),
+]
+_ONE_RECORD = ((), "records", None, 1, None, None)
+_MANY_RECORDS = ((), "records", None, "+", None, None)
+PARSER_SURFACE = {
+    "detect": [_HELP, _ONE_RECORD, *_COMMON, _DETECTOR],
+    "eval": [_HELP, _MANY_RECORDS, *_COMMON, _DETECTOR, *_SCORING],
+    "compare": [_HELP, _MANY_RECORDS, *_COMMON, *_SCORING,
+                (("--disagreements",), "disagreements", None, None, None,
+                 None)],
+    "stages": [_HELP, _ONE_RECORD, *_COMMON, _DETECTOR],
+    "bench": [_HELP, _ONE_RECORD, *_COMMON,
+              (("--repeats",), "repeats", 5, None, None, int)],
+    "synth": [_HELP, ((), "spec_file", None, None, None, None),
+              (("--output", "-o"), "output", None, None, None, None)],
+}
+
+
+class TestParserSurface:
+    def test_every_subcommand_action_pinned(self):
+        parser = build_parser()
+        [commands] = [action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands.choices) == list(PARSER_SURFACE)
+        for name, sub in commands.choices.items():
+            surface = [(tuple(a.option_strings), a.dest, a.default, a.nargs,
+                        a.choices if a.choices is None else tuple(a.choices),
+                        a.type) for a in sub._actions]
+            assert surface == PARSER_SURFACE[name], name
 
 
 def record_with(labels):
@@ -506,6 +549,25 @@ class TestBenchCommand:
             assert r[6] == "serialized-single-thread"
         assert "ratio" in capsys.readouterr().out
 
+    def test_times_the_chosen_lead(self, tmp_path, monkeypatch):
+        # Two leads of 600 samples at 250 Hz; only V5 (all 7s) is timed.
+        (tmp_path / "r.dat").write_bytes(encode212([3, 7] * 600))
+        header = tmp_path / "r.hea"
+        header.write_text(make_header("r", 250.0, 600, [
+            "r.dat 212 200 12 0 0 0 0 MLII", "r.dat 212 200 12 0 0 0 0 V5"]))
+        timed = []
+
+        def fake_run(detector, samples, fs, **configs):
+            timed.append((detector, samples.tolist(), fs))
+        monkeypatch.setattr(ptpp.evaluation, "run_detector", fake_run)
+        out = tmp_path / "bench.csv"
+        assert main(["bench", str(header), "--channel", "V5",
+                     "-o", str(out)]) == 0
+        assert timed == [("ptpp", [0.035] * 600, 250.0)] * 5 + \
+            [("pt", [0.035] * 600, 250.0)] * 5
+        _, rows = read_csv(out)
+        assert [row[1:4] for row in rows] == [["r", "600", "250.0"]] * 2
+
 
 class TestDataRoot:
     def test_inputs_resolved_under_root(self, clean, tmp_path, monkeypatch):
@@ -566,18 +628,47 @@ class TestNumericInputs:
         (["detect", "{csv}", "--set", "pipeline.band_low_hz=5e-324"], 2),
         (["eval", "{csv}", "--annotations", "{ann}", "--tolerance-ms",
           "1e308"], 0),
+        (["detect", "{no_dat_hea}"], 2),
+        (["detect", "{dot_hea}"], 2),
+        (["detect", "{dir_csv}"], 2),
+        (["detect", "{csv}", "-o", "{nodir_out}"], 2),
+        (["stages", "{csv}", "-o", "{nodir_out}"], 2),
+        (["detect", "{x2_hea}"], 3),
+        (["detect", "{two_files_hea}"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
     def test_exit_code_without_traceback(self, clean, tmp_path, capsys, argv,
                                          code):
         paths = {"csv": clean["csv"], "ann": clean["ann"]}
-        for name, fs in (("nan_hea", "nan"), ("inf_hea", "inf")):
-            header = make_header("r", float(fs), 10,
-                                 ["r.dat 212 200 12 0 0 0 0 MLII"])
+        line = "r.dat 212 200 12 0 0 0 0 MLII"
+        for name, fs, lines in (
+                ("nan_hea", "nan", [line]), ("inf_hea", "inf", [line]),
+                ("no_dat_hea", "360", [line]),
+                ("dot_hea", "360", [". 212 200 12 0 0 0 0 MLII"]),
+                ("x2_hea", "360", ["r.dat 212x2 200 12 0 0 0 0 MLII"]),
+                ("two_files_hea", "360",
+                 [line, "s.dat 212 200 12 0 0 0 0 V5"])):
             paths[name] = tmp_path / f"{name}.hea"
-            paths[name].write_text(header)
+            paths[name].write_text(make_header("r", float(fs), 10, lines))
+        # Files that cannot be read or written; stderr names each one.
+        unusable = {"no_dat_hea": tmp_path / "r.dat", "dot_hea": tmp_path,
+                    "dir_csv": tmp_path / "dir.csv",
+                    "nodir_out": tmp_path / "nodir" / "out.csv"}
+        unusable["dir_csv"].mkdir()
+        paths.update(dir_csv=unusable["dir_csv"],
+                     nodir_out=unusable["nodir_out"])
         args = [arg.format(**paths) for arg in argv]
-        assert main(args + ["-o", str(tmp_path / "out.csv")]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        if "-o" not in args:
+            args += ["-o", str(tmp_path / "out.csv")]
+        assert main(args) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        family = {2: "config error: ", 3: "parse error: ",
+                  4: "processing error: "}
+        if code:
+            assert family[code] in err
+        for name, path in unusable.items():
+            if f"{{{name}}}" in argv:
+                assert f"config error: {path}: " in err
 
 
     @pytest.mark.parametrize("gain", ["e", "1e999"])

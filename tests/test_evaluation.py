@@ -278,17 +278,20 @@ class TestSynthEcg:
 class TestTimeDetector:
     def test_positive_and_reasonable(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=10.0))
-        t = ptpp.time_detector("ptpp", record)
+        t = ptpp.time_detector("ptpp", record.channels[0].samples,
+                               record.sampling_rate_hz)
         assert 0.0 < t < 5.0
 
     def test_unknown_detector(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=10.0))
         with pytest.raises(ptpp.ConfigError):
-            ptpp.time_detector("nope", record)
+            ptpp.time_detector("nope", record.channels[0].samples,
+                               record.sampling_rate_hz)
 
     def test_decision_phases_within_2x(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=60.0))
-        t_new = ptpp.time_detector("ptpp", record)
-        t_old = ptpp.time_detector("pt", record)
+        samples, fs = record.channels[0].samples, record.sampling_rate_hz
+        t_new = ptpp.time_detector("ptpp", samples, fs)
+        t_old = ptpp.time_detector("pt", samples, fs)
         ratio = t_new / t_old
         assert 0.5 <= ratio <= 2.0
