@@ -217,6 +217,16 @@ def _annotation_paths(args: argparse.Namespace) -> list[Path]:
 # --------------------------------------------------------------------------
 # output helpers
 
+def _output_path(name: str | Path, inputs: Sequence[Path]) -> Path:
+    """``name`` as an output path, refused if it is one of the ``inputs``
+    the command reads (compared after resolving links and ``..``)."""
+    out = Path(name)
+    for source in inputs:
+        if os.path.realpath(out) == os.path.realpath(source):
+            raise ConfigError(f"output {out} would overwrite input {source}")
+    return out
+
+
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -242,12 +252,12 @@ def _metrics_row(detector: str, dataset: str, record_id: str, reports,
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     path, samples, fs = _open_lead(args.records[0], args)
+    out = _output_path(args.output or f"{path.stem}.detections.csv", [path])
     run = run_detector(args.detector, samples, fs,
                        **args.run_cfgs[args.detector])
     rows = []
     for raw_index, tag in zip(run.r_peaks, run.provenance):
         rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
-    out = Path(args.output or f"{path.stem}.detections.csv")
     _write_csv(out, DETECTIONS_HEADER, rows)
     print(f"{len(rows)} detections -> {out}")
     return 0
@@ -255,25 +265,28 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _cmd_stages(args: argparse.Namespace) -> int:
     path, samples, fs = _open_lead(args.records[0], args)
+    out = _output_path(args.output or f"{path.stem}.stages.csv", [path])
     stages = run_pipeline(samples, fs,
                           args.run_cfgs[args.detector]["pipeline_cfg"])
     rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
              repr(float(stages.derived[i])), repr(float(stages.squared[i])),
              repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
             for i in range(len(samples)))
-    out = Path(args.output or f"{path.stem}.stages.csv")
     _write_csv(out, STAGES_HEADER, rows)
     print(f"{len(samples)} samples x 6 stages -> {out}")
     return 0
 
 
 def _evaluate(detectors: Sequence[str], args: argparse.Namespace):
-    """Shared machinery for eval/compare: per-record rows + pooled rows.
-    Each record is read once; of a detector run only its peaks live on."""
+    """Shared machinery for eval/compare: per-record rows + pooled rows,
+    and every file read. Each record is read once; of a detector run only
+    its peaks live on."""
     # Per detector, one (report, elapsed, fs, peaks) per record.
     runs: dict[str, list] = {d: [] for d in detectors}
+    inputs = []
     for rec_str, ann_path in zip(args.records, _annotation_paths(args)):
         path, samples, fs = _open_lead(rec_str, args)
+        inputs += [path, ann_path]
         reference = load_annotations(ann_path)
         for detector in detectors:
             run, elapsed = timed_call(run_detector, detector, samples, fs,
@@ -289,20 +302,23 @@ def _evaluate(detectors: Sequence[str], args: argparse.Namespace):
         reports, times, *_ = zip(*runs[detector])
         rows.append(_metrics_row(detector, args.dataset, POOLED_ROW_ID,
                                  reports, sum(times)))
-    return rows, runs
+    return rows, runs, inputs
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    rows, _ = _evaluate([args.detector], args)
-    out = Path(args.output or "metrics.csv")
+    rows, _, inputs = _evaluate([args.detector], args)
+    out = _output_path(args.output or "metrics.csv", inputs)
     _write_csv(out, METRICS_HEADER, rows)
     print(f"{len(rows)} metric rows -> {out}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows, runs = _evaluate(list(DETECTORS), args)
-    out = Path(args.output or "compare_metrics.csv")
+    rows, runs, inputs = _evaluate(list(DETECTORS), args)
+    out = _output_path(args.output or "compare_metrics.csv", inputs)
+    dis_out = _output_path(args.disagreements
+                           or out.with_name(out.stem + "_disagreements.csv"),
+                           inputs)
     _write_csv(out, METRICS_HEADER, rows)
 
     disagreement_rows = []
@@ -322,8 +338,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 disagreement_rows.append(
                     [rec_id, int(idx), repr(float(idx / fs)), "pt"])
     disagreement_rows.sort(key=lambda row: (row[0], row[1]))
-    dis_out = (Path(args.disagreements) if args.disagreements
-               else out.with_name(out.stem + "_disagreements.csv"))
     _write_csv(dis_out, ["record", "sample_index", "time_s", "present_in"],
                disagreement_rows)
     print(f"{len(rows)} metric rows -> {out}; "
@@ -333,6 +347,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     path, samples, fs = _open_lead(args.records[0], args)
+    out = _output_path(args.output or "bench.csv", [path])
     rows, medians = [], {}
     for detector in DETECTORS:
         median_s = time_detector(detector, samples, fs, repeats=args.repeats,
@@ -341,7 +356,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows.append([detector, path.stem, len(samples), repr(fs),
                      f"{median_s:.4f}", max(5, args.repeats),
                      "serialized-single-thread"])
-    out = Path(args.output or "bench.csv")
     _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
                      "median_s", "runs", "note"], rows)
     ratio = medians["ptpp"] / medians["pt"] if medians["pt"] > 0 else float("inf")
@@ -361,10 +375,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if not isinstance(raw, dict):
         raise ParseError(f"{spec_path}: expected a JSON object")
     spec = SynthSpec.from_dict(raw)
-    record, annotations = synth_ecg(spec)
     stem = Path(args.output or spec_path.stem)
-    csv_path = stem.with_suffix(".csv")
-    ann_path = stem.with_suffix(".ann")
+    csv_path = _output_path(stem.with_suffix(".csv"), [spec_path])
+    ann_path = _output_path(stem.with_suffix(".ann"), [spec_path])
+    record, annotations = synth_ecg(spec)
     save_csv(record, csv_path)
     save_annotations(annotations, ann_path)
     print(f"{len(annotations.beat_samples)} beats, "

@@ -24,6 +24,9 @@ from .errors import ParseError, PtppError, UnsupportedFormatError
 logger = logging.getLogger(__name__)
 
 WFDB_DEFAULT_GAIN = 200.0  # counts per mV when the header omits the gain
+# The code each supported signal format stores for a sample that was not
+# recorded.
+INVALID_SAMPLE = {212: -2048, 16: -32768}
 
 # MIT annotation type codes for beat classes, keyed by their display symbol.
 # Everything else in an annotation file (rhythm changes, signal quality notes,
@@ -410,12 +413,22 @@ def load_wfdb_record(header_path: str | Path) -> Record:
             f"{header_path}: mixed per-channel formats {sorted(formats)}")
     data = (header_path.parent / file_names.pop()).read_bytes()
     fmt = formats.pop()
-    if fmt == 212:
-        return decode_format212(data, header)
-    if fmt == 16:
-        return decode_format16(data, header)
-    raise UnsupportedFormatError(f"{header_path}: signal format {fmt} is not "
-                                 f"supported (only 212 and 16)")
+    if fmt not in INVALID_SAMPLE:
+        raise UnsupportedFormatError(f"{header_path}: signal format {fmt} is "
+                                     f"not supported (only 212 and 16)")
+    decode = decode_format212 if fmt == 212 else decode_format16
+    record = decode(data, header)
+    # The decoders convert counts exactly, so a gap is any sample equal to
+    # the millivolt value of its format's invalid-sample code.
+    code = INVALID_SAMPLE[fmt]
+    for ch in record.channels:
+        gap = ch.samples == (np.float64(code) - ch.baseline) / ch.gain
+        if gap.any():
+            raise UnsupportedFormatError(
+                f"{header_path}: lead {ch.label!r} holds the format-{fmt} "
+                f"invalid-sample code {code} (a signal gap) at sample "
+                f"{int(gap.argmax())}; records with gaps are not supported")
+    return record
 
 
 def _load_plain_annotations(path: Path) -> AnnotationSet:

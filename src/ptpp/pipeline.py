@@ -46,7 +46,6 @@ class PipelineConfig:
     filter_order: int = 3
     smooth_window_ms: float = 60.0
     mwi_window_ms: float = 150.0
-    zero_phase: bool = False
     smooth_enabled: bool = True  # the classic detector bypasses smoothing
 
     def validate(self, fs: float) -> None:
@@ -85,6 +84,7 @@ class StageOutputs:
 
 
 def _design_sos(fs: float, config: PipelineConfig) -> np.ndarray:
+    config.validate(fs)
     return scipy.signal.butter(
         config.filter_order,
         [config.band_low_hz, config.band_high_hz],
@@ -101,13 +101,16 @@ def _sos_group_delay(sos: np.ndarray, fs: float, freq_hz: float) -> float:
 
 
 def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarray:
-    """Apply the Butterworth band-pass (causal, or forward-backward when
-    ``zero_phase`` is set)."""
-    config.validate(fs)
+    """Apply the causal Butterworth band-pass. A record shorter than the
+    filter's group delay at the band centre sqrt(low * high) is refused."""
     x = np.asarray(samples, dtype=np.float64)
     sos = _design_sos(fs, config)
-    if config.zero_phase:
-        return scipy.signal.sosfiltfilt(sos, x)
+    centre_hz = math.sqrt(config.band_low_hz * config.band_high_hz)
+    delay = _sos_group_delay(sos, fs, centre_hz)
+    if len(x) < delay:
+        raise InputTooShortError(
+            f"band-pass delay ({delay:.1f} samples at {centre_hz:g} Hz) "
+            f"longer than signal ({len(x)})")
     return scipy.signal.sosfilt(sos, x)
 
 
@@ -159,15 +162,13 @@ def _causal_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return y
 
 
-def smooth(samples: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Convolve with an arbitrary unit-sum kernel (flat-top in the default
-    pipeline)."""
+def smooth(samples: np.ndarray, width_samples: int) -> np.ndarray:
+    """Trailing flat-top smoothing over the last ``width_samples`` samples."""
     x = np.asarray(samples, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if len(kernel) > len(x):
+    if width_samples > len(x):  # before the kernel is built
         raise InputTooShortError(
-            f"kernel ({len(kernel)}) longer than signal ({len(x)})")
-    return _causal_convolve(x, kernel)
+            f"kernel ({width_samples}) longer than signal ({len(x)})")
+    return _causal_convolve(x, flattop_kernel(width_samples))
 
 
 def mwi(samples: np.ndarray, window_samples: int) -> np.ndarray:
@@ -187,20 +188,15 @@ def run_pipeline(samples: np.ndarray, fs: float,
     """Run all five stages on one channel and report per-stage delays.
 
     Delay bookkeeping: the band-pass delay is the filter's group delay
-    measured at 10 Hz (zero when ``zero_phase``), the derivative stencil is
-    symmetric (zero), and each trailing window of length N contributes
-    (N - 1) // 2.
+    measured at 10 Hz, the derivative stencil is symmetric (zero), and each
+    trailing window of length N contributes (N - 1) // 2.
     """
     if config is None:
         config = PipelineConfig()
-    config.validate(fs)
-    x = np.asarray(samples, dtype=np.float64)
 
-    filtered = bandpass(x, fs, config)
-    bp_delay = 0
-    if not config.zero_phase:
-        sos = _design_sos(fs, config)
-        bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
+    filtered = bandpass(samples, fs, config)
+    sos = _design_sos(fs, config)
+    bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
 
     derived = derivative(filtered, fs)
     squared = square(derived)
@@ -208,10 +204,7 @@ def run_pipeline(samples: np.ndarray, fs: float,
     if config.smooth_enabled:
         width = ms_to_samples(config.smooth_window_ms, fs,
                               minimum=MIN_SMOOTH_SAMPLES)
-        if width > len(x):  # smooth's own check, before the kernel is built
-            raise InputTooShortError(
-                f"kernel ({width}) longer than signal ({len(x)})")
-        smoothed = smooth(squared, flattop_kernel(width))
+        smoothed = smooth(squared, width)
         smooth_delay = (width - 1) // 2
     else:
         smoothed = squared

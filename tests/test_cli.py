@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -635,10 +636,48 @@ class TestNumericInputs:
         (["stages", "{csv}", "-o", "{nodir_out}"], 2),
         (["detect", "{x2_hea}"], 3),
         (["detect", "{two_files_hea}"], 3),
+        (["detect", "{csv}", "--set", "pipeline.zero_phase=true"], 2),
+        # Band-passes whose centre delay is longer than the record.
+        (["detect", "{csv}", "--set", "pipeline.filter_order=12",
+          "--set", "pipeline.band_low_hz=17.99"], 4),
+        (["detect", "{csv}", "--set", "pipeline.filter_order=12",
+          "--set", "pipeline.band_low_hz=9.99",
+          "--set", "pipeline.band_high_hz=10.01"], 4),
+        # Outputs that name an input.
+        (["detect", "{rec}", "-o", "{rec}"], 2),
+        (["stages", "{rec}", "-o", "{rec}"], 2),
+        (["eval", "{rec}", "--annotations", "{rec_ann}", "-o", "{rec_ann}"],
+         2),
+        (["compare", "{rec}", "--annotations", "{rec_ann}",
+          "--disagreements", "{rec}"], 2),
+        (["bench", "{rec}", "-o", "{rec}"], 2),
+        (["synth", "{spec_ann}", "-o", "{spec_stem}"], 2),
+        # WFDB gap markers.
+        (["detect", "{gap212_hea}"], 3),
+        (["detect", "{gap16_hea}"], 3),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
     def test_exit_code_without_traceback(self, clean, tmp_path, capsys, argv,
                                          code):
-        paths = {"csv": clean["csv"], "ann": clean["ann"]}
+        # Inputs a failed run must leave as they are.
+        rec, rec_ann = tmp_path / "rec.csv", tmp_path / "rec.ann"
+        rec.write_bytes(Path(clean["csv"]).read_bytes())
+        rec_ann.write_bytes(Path(clean["ann"]).read_bytes())
+        spec_ann = tmp_path / "spec.ann"
+        write_spec(spec_ann, duration_s=5.0)
+        gap = np.zeros((1500, 2), dtype=np.int64)
+        gap[1234, 1] = -2048
+        (tmp_path / "gap212.dat").write_bytes(encode212(gap.ravel()))
+        gap[1234, 1] = -32768
+        (tmp_path / "gap16.dat").write_bytes(gap.astype("<i2").tobytes())
+        paths = {"csv": clean["csv"], "ann": clean["ann"], "rec": rec,
+                 "rec_ann": rec_ann, "spec_ann": spec_ann,
+                 "spec_stem": tmp_path / "spec"}
+        for fmt in (212, 16):
+            paths[f"gap{fmt}_hea"] = tmp_path / f"gap{fmt}.hea"
+            paths[f"gap{fmt}_hea"].write_text(make_header(
+                f"gap{fmt}", 360.0, 1500,
+                [f"gap{fmt}.dat {fmt} 200 12 0 0 0 0 MLII",
+                 f"gap{fmt}.dat {fmt} 200 12 0 0 0 0 V5"]))
         line = "r.dat 212 200 12 0 0 0 0 MLII"
         for name, fs, lines in (
                 ("nan_hea", "nan", [line]), ("inf_hea", "inf", [line]),
@@ -659,6 +698,8 @@ class TestNumericInputs:
         args = [arg.format(**paths) for arg in argv]
         if "-o" not in args:
             args += ["-o", str(tmp_path / "out.csv")]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()
+                  if path.is_file()}
         assert main(args) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -666,6 +707,20 @@ class TestNumericInputs:
                   4: "processing error: "}
         if code:
             assert family[code] in err
+            # A refused run writes nothing and changes nothing.
+            assert {path: path.read_bytes() for path in tmp_path.iterdir()
+                    if path.is_file()} == before
+        if "{gap212_hea}" in argv or "{gap16_hea}" in argv:
+            fmt = 212 if "{gap212_hea}" in argv else 16
+            assert (f"gap{fmt}.hea: lead 'V5' holds the format-{fmt} "
+                    f"invalid-sample code {-2048 if fmt == 212 else -32768} "
+                    f"(a signal gap) at sample 1234") in err
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("-o", "--disagreements") and value in (
+                    "{rec}", "{rec_ann}", "{spec_stem}"):
+                source = paths["spec_ann" if value == "{spec_stem}"
+                               else value[1:-1]]
+                assert f"would overwrite input {source}" in err
         for name, path in unusable.items():
             if f"{{{name}}}" in argv:
                 assert f"config error: {path}: " in err

@@ -648,6 +648,31 @@ class TestLoadWfdbRecord:
         with pytest.raises(ptpp.UnsupportedFormatError):
             ptpp.load_wfdb_record(tmp_path / "r8.hea")
 
+    @pytest.mark.parametrize("fmt,code", [(212, -2048), (16, -32768)])
+    @pytest.mark.parametrize("gain,baseline", [(200.0, 0), (137.3, -7),
+                                               (0.1, 1024)])
+    def test_gap_marker_refused(self, tmp_path, fmt, code, gain, baseline):
+        raw = np.full((40, 2), code + 1, dtype=np.int64)  # its neighbour is data
+        raw[0, 0] = code - 1 if fmt == 16 else 2047
+        lines = [f"g.dat {fmt} {gain}({baseline}) 12 0 0 0 0 {label}"
+                 for label in ("MLII", "V5")]
+        (tmp_path / "g.hea").write_text(make_header("g", 360, 40, lines))
+
+        def write(codes):
+            data = (encode212(codes.ravel()) if fmt == 212
+                    else codes.astype("<i2").tobytes())
+            (tmp_path / "g.dat").write_bytes(data)
+
+        write(raw)
+        assert ptpp.load_wfdb_record(tmp_path / "g.hea").duration_samples == 40
+        raw[17, 1] = raw[29, 0] = raw[31, 1] = code
+        write(raw)
+        with pytest.raises(ptpp.UnsupportedFormatError,
+                           match=f"lead 'MLII' holds the format-{fmt} "
+                                 rf"invalid-sample code {code} \(a signal "
+                                 r"gap\) at sample 29"):
+            ptpp.load_wfdb_record(tmp_path / "g.hea")
+
 
 # ---------------------------------------------------------------------------
 # Annotations

@@ -9,7 +9,8 @@ import pytest
 
 import ptpp
 from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
-                           FLATTOP_A4, MIN_SMOOTH_SAMPLES, _causal_convolve)
+                           FLATTOP_A4, MIN_SMOOTH_SAMPLES, _causal_convolve,
+                           _design_sos, _sos_group_delay)
 
 from helpers import causal_convolve_reference
 
@@ -82,13 +83,23 @@ class TestBandpass:
         with pytest.raises(ptpp.ConfigError):
             ptpp.bandpass(np.zeros(100), FS, cfg)
 
-    def test_zero_phase_preserves_symmetric_pulse_apex(self):
-        x = np.zeros(2000)
-        t = (np.arange(2000) - 1000) / FS
-        x += np.exp(-0.5 * (t / 0.02) ** 2)
-        cfg = ptpp.PipelineConfig(zero_phase=True)
-        y = ptpp.bandpass(x, FS, cfg)
-        assert abs(int(np.argmax(y)) - 1000) <= 1
+    def test_band_not_holding_the_delay_probe_runs(self):
+        # 12-30 Hz does not contain the 10 Hz delay probe; it still filters.
+        cfg = ptpp.PipelineConfig(band_low_hz=12.0, band_high_hz=30.0)
+        y = ptpp.bandpass(sine(20.0), FS, cfg)
+        assert steady_amplitude(y) >= 0.7
+
+    @pytest.mark.parametrize("low,high,order", [
+        (5.0, 18.0, 3), (12.0, 30.0, 3), (17.99, 18.0, 12)])
+    def test_record_shorter_than_centre_delay_refused(self, low, high, order):
+        cfg = ptpp.PipelineConfig(band_low_hz=low, band_high_hz=high,
+                                  filter_order=order)
+        delay = _sos_group_delay(_design_sos(FS, cfg), FS,
+                                 np.sqrt(low * high))
+        n = int(delay)  # delay is not a whole number of samples
+        with pytest.raises(ptpp.InputTooShortError, match="band-pass delay"):
+            ptpp.bandpass(np.zeros(n), FS, cfg)
+        assert len(ptpp.bandpass(np.zeros(n + 1), FS, cfg)) == n + 1
 
     def test_length_preserved(self):
         assert len(ptpp.bandpass(np.ones(777), FS, self.CFG)) == 777
@@ -174,28 +185,26 @@ class TestFlattopKernel:
 
 class TestSmooth:
     def test_constant_preserved(self):
-        k = ptpp.flattop_kernel(22)
-        y = ptpp.smooth(np.full(100, 2.5), k)
+        y = ptpp.smooth(np.full(100, 2.5), 22)
         np.testing.assert_allclose(y, np.full(100, 2.5), rtol=1e-12)
 
     def test_impulse_reproduces_kernel(self):
         k = ptpp.flattop_kernel(9)
         x = np.zeros(60)
         x[30] = 1.0
-        y = ptpp.smooth(x, k)
+        y = ptpp.smooth(x, 9)
         np.testing.assert_allclose(y[30:39], k, rtol=1e-12, atol=1e-15)
         assert np.all(y[:30] == 0.0)
         np.testing.assert_allclose(y[39:], 0.0, atol=1e-15)
 
     def test_kernel_longer_than_signal(self):
         with pytest.raises(ptpp.InputTooShortError):
-            ptpp.smooth(np.zeros(10), ptpp.flattop_kernel(22))
+            ptpp.smooth(np.zeros(10), 22)
 
     def test_noise_variance_reduced(self):
-        k = ptpp.flattop_kernel(22)
         for seed in range(5):
             x = np.random.default_rng(seed).normal(size=100_000)
-            assert np.var(ptpp.smooth(x, k)) < np.var(x)
+            assert np.var(ptpp.smooth(x, 22)) < np.var(x)
 
 
 class TestMwi:
@@ -291,11 +300,6 @@ class TestRunPipeline:
         assert d["smooth"] == 10   # (22 - 1) // 2
         assert d["mwi"] == 26      # (54 - 1) // 2
         assert 0 < d["bandpass"] < 40
-
-    def test_zero_phase_has_no_bandpass_delay(self):
-        cfg = ptpp.PipelineConfig(zero_phase=True)
-        out = ptpp.run_pipeline(np.zeros(1000), FS, cfg)
-        assert out.stage_delays_samples["bandpass"] == 0
 
     def test_smoothing_window_checked_before_kernel(self, monkeypatch):
         def no_kernel(width):

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every name a ``ptpp`` module
-imports is used in it, or exported through ``__all__``."""
+imports is used in it, or exported through ``__all__``; and the package
+reads only the ``scipy`` names listed here."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,56 @@ def unused_imports(source: str) -> list[str]:
                         for target in node.targets)):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
+
+
+def scipy_names(source: str) -> set[str]:
+    """Every dotted ``scipy.*`` name the source reads, in its longest form:
+    attribute chains off ``scipy`` or an alias of a ``scipy`` module, and
+    names taken by ``from scipy... import``."""
+    tree = ast.parse(source)
+    roots = {"scipy": "scipy"}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update((alias.asname, alias.name) for alias in node.names
+                         if alias.asname and alias.name.startswith("scipy"))
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "scipy"):
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            names.add(".".join([roots[node.id], *reversed(parts)]))
+    return names
+
+
+class TestScipySurface:
+    """The ``scipy`` functions the package calls: the list a numpy port of
+    the filter path has to cover."""
+
+    def test_package_reads_exactly_these(self):
+        found = set()
+        for path in PACKAGE.glob("*.py"):
+            found |= scipy_names(path.read_text(encoding="utf-8"))
+        assert found == {"scipy.signal.butter", "scipy.signal.group_delay",
+                         "scipy.signal.sosfilt"}
+
+    @pytest.mark.parametrize("source,names", [
+        ("import scipy.signal\nscipy.signal.butter(1).shape\n",
+         {"scipy.signal.butter"}),
+        ("import scipy.signal as ss\nss.sosfilt\n", {"scipy.signal.sosfilt"}),
+        ("from scipy.signal import lfilter\n", {"scipy.signal.lfilter"}),
+        ("import numpy as np\nnp.signal.x\n", set()),
+    ])
+    def test_finds_what_is_read(self, source, names):
+        assert scipy_names(source) == names
 
 
 class TestUnusedImports:
