@@ -319,6 +319,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     dis_out = _output_path(args.disagreements
                            or out.with_name(out.stem + "_disagreements.csv"),
                            inputs)
+    if os.path.realpath(out) == os.path.realpath(dis_out):
+        raise ConfigError(f"-o/--output and --disagreements both name {out}")
     _write_csv(out, METRICS_HEADER, rows)
 
     disagreement_rows = []

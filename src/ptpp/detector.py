@@ -19,7 +19,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,29 +128,6 @@ class DetectionResult:
     r_peaks: np.ndarray  # sorted sample indices
     provenance: list[str]  # one tag per peak
     rejected: list[tuple[int, str]]  # (candidate index, reason)
-
-
-class RrTracker:
-    """Ring of the most recent RR intervals (in samples).
-
-    ``rr_mean`` stays undefined (None) until the ring is full, mirroring the
-    "more than 8 beats" gate on the relative RR rules.
-    """
-
-    def __init__(self, history: int = 8):
-        if history < 1:
-            raise ConfigError("RR history must hold at least one interval")
-        self.recent_rr_samples: deque[float] = deque(maxlen=history)
-
-    def add(self, rr_samples: float) -> None:
-        self.recent_rr_samples.append(float(rr_samples))
-
-    @property
-    def rr_mean(self) -> Optional[float]:
-        ring = self.recent_rr_samples
-        if len(ring) < ring.maxlen:
-            return None
-        return sum(ring) / len(ring)
 
 
 def find_candidates(integrated: np.ndarray, fs: float,
@@ -301,7 +278,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         if not p.band_channel:
             return []
         return [abs_filt[_window_argmax(padded, half_win, idx - align)]]
-    band = band_peaks(np.asarray(candidates, dtype=np.int64))
+    band = band_peaks(candidates)
 
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
@@ -311,43 +288,35 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     low, high = p.halve_band
 
     beat_idx: list[int] = []
-    beat_amp: list[float] = []
     provenance: list[str] = []
     rejected: list[tuple[int, str]] = []
-    tracker = RrTracker(cfg.rr_history_beats)
+    rrs: deque[int] = deque(maxlen=cfg.rr_history_beats)
+
+    def mean_rr() -> float | None:
+        # Undefined until the ring is full: the relative RR rules wait for
+        # rr_history_beats intervals.
+        return sum(rrs) / len(rrs) if len(rrs) == rrs.maxlen else None
 
     def add_beat(j: int, tag: str) -> None:
-        rr_before = tracker.rr_mean
         if beat_idx:
-            rr = j - beat_idx[-1]
-            tracker.add(rr)
-            if rr_before is not None and not (
-                    low * rr_before <= rr <= high * rr_before):
+            rr, mean = j - beat_idx[-1], mean_rr()
+            rrs.append(rr)
+            if mean is not None and not (low * mean <= rr <= high * mean):
                 for lv in levels:
                     lv.halve()
         beat_idx.append(j)
-        beat_amp.append(float(integ[j]))
         provenance.append(tag)
-
-    def reject(i: int, reason: str, peaks: list[float]) -> None:
-        rejected.append((i, reason))
-        for lv, peak in zip(levels, peaks):
-            lv.noise(peak)
 
     for k, cand in enumerate(candidates):
         i = int(cand)
         peaks = [float(integ[i])] + [float(b[k]) for b in band]
         rr = (i - beat_idx[-1]) if beat_idx else None
-        rr_mean = tracker.rr_mean
+        rr_mean = mean_rr()
+        # A refractory candidate is a noise peak and faces no other test.
+        reason = REJECT_REFRACTORY if rr is not None and rr < min_sep else None
 
-        if rr is not None and rr < min_sep:
-            reject(i, REJECT_REFRACTORY, peaks)
-            if trace is not None:
-                trace.append((i, *[replace(lv) for lv in levels]))
-            continue
-
-        passes_amp = all(peak > lv.threshold1
-                         for peak, lv in zip(peaks, levels))
+        passes_amp = reason is None and all(
+            peak > lv.threshold1 for peak, lv in zip(peaks, levels))
         is_twave = False
         if passes_amp and rr is not None and (
                 rr < tw_rr or (rr_mean is not None
@@ -358,17 +327,16 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         accept_current = passes_amp and not is_twave
 
         inserted_at = None
-        if rr is not None and (rr > sb_abs or (
+        if reason is None and rr is not None and (rr > sb_abs or (
                 rr_mean is not None and rr > cfg.searchback_rr_factor * rr_mean)):
             left = beat_idx[-1] + blank
             right = (i - min_sep) if accept_current else i
             if left <= right:
                 j = left + int(np.argmax(integ[left:right + 1]))
                 wmax = float(integ[j])
-                surrounding = beat_amp[-3:] + [
-                    float(integ[c]) for c in candidates[k:k + 3]]
+                around = integ[beat_idx[-3:] + candidates[k:k + 3].tolist()]
                 tag = None
-                if wmax > p.searchback_bar(lead, float(np.mean(surrounding))):
+                if wmax > p.searchback_bar(lead, float(np.mean(around))):
                     tag = p.searchback_tag
                 elif (rr > spike_gap
                       and wmax > cfg.spike_recovery_t2_frac * lead.threshold2):
@@ -376,7 +344,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 if tag is not None:
                     # Adapt before add_beat: a halving there must outlive
                     # this find's own threshold recompute.
-                    found = [float(integ[j])] + [
+                    found = [wmax] + [
                         float(b[0]) for b in band_peaks(np.array([j]))]
                     for lv, peak in zip(levels, found):
                         p.insert_rule(lv, peak)
@@ -388,9 +356,13 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 lv.signal(peak)
             add_beat(i, VIA_THRESHOLD1)
         elif is_twave:
-            reject(i, REJECT_TWAVE, peaks)
-        elif inserted_at != i:
-            reject(i, REJECT_BELOW, peaks)
+            reason = REJECT_TWAVE
+        elif reason is None and inserted_at != i:
+            reason = REJECT_BELOW
+        if reason is not None:
+            rejected.append((i, reason))
+            for lv, peak in zip(levels, peaks):
+                lv.noise(peak)
 
         if trace is not None:
             trace.append((i, *[replace(lv) for lv in levels]))
@@ -463,9 +435,7 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     for k, j in enumerate(mapped):
         if not kept or j > mapped[kept[-1]]:
             kept.append(k)
-            continue
-        floor = mapped[kept[-2]] if len(kept) > 1 else -1
-        if x[j] > x[mapped[kept[-1]]] and j > floor:
+        elif x[j] > x[mapped[kept[-1]]]:
             kept[-1] = k
     if sources is not None:
         sources.extend(kept)

@@ -94,8 +94,12 @@ def _design_sos(fs: float, config: PipelineConfig) -> np.ndarray:
 def _sos_group_delay(sos: np.ndarray, fs: float, freq_hz: float) -> float:
     total = 0.0
     for section in sos:
+        # butter folds the filter gain into the first section's numerator,
+        # and scipy's near-singular warning tests an absolute size. The
+        # delay does not depend on the numerator's scale, so drop it.
         b, a = section[:3], section[3:]
-        _, gd = scipy.signal.group_delay((b, a), w=[freq_hz], fs=fs)
+        _, gd = scipy.signal.group_delay((b / np.abs(b).max(), a),
+                                         w=[freq_hz], fs=fs)
         total += float(gd[0])
     return total
 

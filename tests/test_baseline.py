@@ -156,6 +156,25 @@ class TestClassicLoop:
         coupled = final.npk + 0.25 * (final.spk - final.npk)
         assert final.threshold1 == pytest.approx(0.5 * coupled, rel=1e-12)
 
+    @pytest.mark.parametrize("rr,halved", [
+        (74, True), (75, False), (125, False), (126, True)])
+    def test_band_edges_are_inside(self, rr, halved):
+        # rr_mean is exactly 100 and the band 75-125 % is exact in binary,
+        # so an RR on either edge is in band and leaves threshold1 alone.
+        integ = np.zeros(1100)
+        apices = list(range(25, 900, 100))
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, apices[-1] + rr, 1.0)
+        trace = []
+        cfg = ptpp.PtConfig(rr_low_frac=0.75, rr_high_frac=1.25)
+        result = ptpp.detect_pt(make_stages(integ), FS, cfg, trace=trace)
+        assert result.r_peaks[-1] == apices[-1] + rr
+        _, final = trace[-1]
+        coupled = final.npk + 0.25 * (final.spk - final.npk)
+        assert final.threshold1 == pytest.approx(
+            0.5 * coupled if halved else coupled, rel=1e-12)
+
     def test_refractory_spacing_invariant(self):
         for seed in range(3):
             record, _ = ptpp.synth_ecg(ptpp.SynthSpec(

@@ -651,6 +651,11 @@ class TestNumericInputs:
         (["compare", "{rec}", "--annotations", "{rec_ann}",
           "--disagreements", "{rec}"], 2),
         (["bench", "{rec}", "-o", "{rec}"], 2),
+        # Both compare tables sent to one file.
+        (["compare", "{csv}", "--annotations", "{ann}", "-o", "{tmp}/x.csv",
+          "--disagreements", "{tmp}/x.csv"], 2),
+        (["compare", "{csv}", "--annotations", "{ann}", "-o", "{tmp}/./x.csv",
+          "--disagreements", "{tmp}/sub/../x.csv"], 2),
         (["synth", "{spec_ann}", "-o", "{spec_stem}"], 2),
         # WFDB gap markers.
         (["detect", "{gap212_hea}"], 3),
@@ -671,7 +676,7 @@ class TestNumericInputs:
         (tmp_path / "gap16.dat").write_bytes(gap.astype("<i2").tobytes())
         paths = {"csv": clean["csv"], "ann": clean["ann"], "rec": rec,
                  "rec_ann": rec_ann, "spec_ann": spec_ann,
-                 "spec_stem": tmp_path / "spec"}
+                 "spec_stem": tmp_path / "spec", "tmp": tmp_path}
         for fmt in (212, 16):
             paths[f"gap{fmt}_hea"] = tmp_path / f"gap{fmt}.hea"
             paths[f"gap{fmt}_hea"].write_text(make_header(
@@ -721,6 +726,8 @@ class TestNumericInputs:
                 source = paths["spec_ann" if value == "{spec_stem}"
                                else value[1:-1]]
                 assert f"would overwrite input {source}" in err
+        if "-o" in argv and "--disagreements" in argv:
+            assert "-o/--output and --disagreements both name" in err
         for name, path in unusable.items():
             if f"{{{name}}}" in argv:
                 assert f"config error: {path}: " in err

@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import ptpp
-from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, RrTracker,
-                           VIA_SEARCHBACK, VIA_SPIKE_RECOVERY, VIA_THRESHOLD1,
-                           _padded_abs, _window_argmax)
+from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
+                           VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _padded_abs,
+                           _window_argmax)
 
 from helpers import (band_peak_reference, localize_reference,
                      thinned_maxima_reference)
@@ -337,6 +337,42 @@ class TestDecisionLoop:
         assert (250, REJECT_BELOW) in result.rejected
         assert (475, REJECT_BELOW) in result.rejected
 
+    @pytest.mark.parametrize("last,expected", [
+        (265, [25, 125]), (266, [25, 125, 200])])
+    def test_spike_recovery_needs_a_gap_longer_than_1_4_s(self, last,
+                                                          expected):
+        # 1.4 s is exactly 140 samples. The gap from 125 to 265 equals it,
+        # so only threshold3 may pick up the 0.12 hump at 200, and it is
+        # too low for that; one sample later the 0.2*threshold2 bar does.
+        integ = np.zeros(400)
+        for a in (25, 125):
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, 200, 0.12)
+        add_triangle(integ, last, 0.10)
+        result = ptpp.detect(make_stages(integ), FS)
+        np.testing.assert_array_equal(result.r_peaks, expected)
+        assert result.provenance[2:] == [VIA_SPIKE_RECOVERY] * (
+            len(expected) - 2)
+
+    def test_search_back_over_a_one_sample_window(self):
+        # A 0.5 s trigger lets the 59-sample RR from 225 to 284 search back.
+        # The window starts one blank (36) after 225 and ends one spacing
+        # (23) before 284: the single sample 261, an integrated-only hump
+        # that the two-channel amplitude test dropped.
+        integ = np.zeros(400)
+        filt = np.zeros(400)
+        for a in (25, 125, 225, 284):
+            add_triangle(integ, a, 1.0)
+            add_triangle(filt, a, 1.0)
+        add_triangle(integ, 261, 0.8)
+        result = ptpp.detect(make_stages(integ, filt), FS,
+                             ptpp.DetectorConfig(searchback_abs_s=0.5))
+        np.testing.assert_array_equal(result.r_peaks,
+                                      [25, 125, 225, 261, 284])
+        assert result.provenance == [VIA_THRESHOLD1] * 3 + [VIA_SEARCHBACK,
+                                                            VIA_THRESHOLD1]
+        assert result.rejected == [(261, REJECT_BELOW)]
+
     def test_no_candidates_empty_result(self):
         result = ptpp.detect(make_stages(np.zeros(300)), FS)
         assert len(result.r_peaks) == 0
@@ -508,26 +544,6 @@ class TestBandAmplitude:
         expected.fast(0.0)
         expected.signal(1.0)
         assert band[420] == expected
-
-
-class TestRrTracker:
-    def test_undefined_until_full(self):
-        t = RrTracker(8)
-        for rr in range(1, 8):
-            t.add(float(rr))
-            assert t.rr_mean is None
-        t.add(8.0)
-        assert t.rr_mean == pytest.approx(4.5)
-
-    def test_ring_drops_oldest(self):
-        t = RrTracker(8)
-        for rr in range(1, 10):
-            t.add(float(rr))
-        assert t.rr_mean == pytest.approx(5.5)
-
-    def test_bad_history(self):
-        with pytest.raises(ptpp.ConfigError):
-            RrTracker(0)
 
 
 class TestRunDetectorMemory:

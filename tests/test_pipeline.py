@@ -1,6 +1,8 @@
 """Preprocessing stage tests: exact stencil arithmetic, window shapes,
 frequency response, delay bookkeeping, and linearity properties."""
 
+import warnings
+
 import hypothesis
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -103,6 +105,24 @@ class TestBandpass:
 
     def test_length_preserved(self):
         assert len(ptpp.bandpass(np.ones(777), FS, self.CFG)) == 777
+
+    @pytest.mark.parametrize("fs,low,high,refused", [
+        (1000.0, 5.0, 18.0, False), (FS, 17.99, 18.0, True),
+        (FS, 9.99, 10.01, True)])
+    def test_order_12_delays_raise_no_scipy_warning(self, fs, low, high,
+                                                    refused):
+        # butter puts the filter gain (1.6e-17 for the first design) into
+        # the first section's numerator; the delays must not warn about it.
+        cfg = ptpp.PipelineConfig(band_low_hz=low, band_high_hz=high,
+                                  filter_order=12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(ptpp.InputTooShortError,
+                                   match="band-pass delay"):
+                    ptpp.run_pipeline(sine(12.0, fs, 20.0), fs, cfg)
+            else:
+                ptpp.run_pipeline(sine(12.0, fs, 20.0), fs, cfg)
 
 
 class TestDerivative:

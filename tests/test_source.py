@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every name a ``ptpp`` module
-imports is used in it, or exported through ``__all__``; and the package
-reads only the ``scipy`` names listed here."""
+imports is used in it, or exported through ``__all__``; every private
+module-level name is read somewhere in the package; and the package reads
+only the ``scipy`` names listed here."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,33 @@ def unused_imports(source: str) -> list[str]:
                         for target in node.targets)):
             used.update(ast.literal_eval(node.value))
     return sorted(imported - used)
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level name (a ``_name``
+    function, class or assignment target, tuple targets included) that no
+    module reads, as a name or as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.extend((module, name.id) for target in targets
+                               for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted({f"{module}:{name}" for module, name in defined
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in read})
 
 
 def scipy_names(source: str) -> set[str]:
@@ -96,3 +124,24 @@ class TestUnusedImports:
     ])
     def test_finds_what_is_unused(self, source, unused):
         assert unused_imports(source) == unused
+
+
+class TestUnreadPrivateNames:
+    def test_every_private_name_is_read(self):
+        sources = {path.name: path.read_text(encoding="utf-8")
+                   for path in sorted(PACKAGE.glob("*.py"))}
+        assert unread_private_names(sources) == []
+
+    @pytest.mark.parametrize("sources,unread", [
+        ({"a": "def _f():\n    pass\n"}, ["a:_f"]),
+        ({"a": "def _f():\n    pass\n_f()\n"}, []),
+        ({"a": "class _K:\n    pass\nx: _K\n"}, []),
+        ({"a": "_A, (_B, c) = 1, (2, 3)\nprint(_A)\n"}, ["a:_B"]),
+        ({"a": "_X: int = 1\n_X = 2\n"}, ["a:_X"]),
+        ({"a": "_X = 1\nimport m\nm._X\n"}, []),
+        ({"a": "def f():\n    _local = 1\n", "b": "__all__ = []\n"}, []),
+        ({"a": "def _g():\n    pass\n", "b": "from a import _g\n_g()\n"},
+         []),
+    ])
+    def test_finds_what_is_unread(self, sources, unread):
+        assert unread_private_names(sources) == unread
