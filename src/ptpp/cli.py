@@ -19,8 +19,9 @@ from .detector import DetectorConfig
 from .errors import ConfigError, ParseError, PtppError
 from .evaluation import (SynthSpec, match_beats, metrics, synth_ecg,
                          time_detector, timed_call)
-from .io import (AnnotationSet, Record, load_annotations, load_csv,
-                 load_wfdb_record, read_text, save_annotations, save_csv)
+from .io import (AnnotationSet, Record, _write_columns, load_annotations,
+                 load_csv, load_wfdb_record, read_text, save_annotations,
+                 save_csv)
 from .pipeline import PipelineConfig, run_pipeline
 from .runner import DETECTORS, default_pipeline_config, run_detector
 
@@ -268,11 +269,9 @@ def _cmd_stages(args: argparse.Namespace) -> int:
     out = _output_path(args.output or f"{path.stem}.stages.csv", [path])
     stages = run_pipeline(samples, fs,
                           args.run_cfgs[args.detector]["pipeline_cfg"])
-    rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
-             repr(float(stages.derived[i])), repr(float(stages.squared[i])),
-             repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
-            for i in range(len(samples)))
-    _write_csv(out, STAGES_HEADER, rows)
+    _write_columns(out, STAGES_HEADER,
+                   [samples, stages.filtered, stages.derived, stages.squared,
+                    stages.smoothed, stages.integrated])
     print(f"{len(samples)} samples x 6 stages -> {out}")
     return 0
 
@@ -378,8 +377,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ParseError(f"{spec_path}: expected a JSON object")
     spec = SynthSpec.from_dict(raw)
     stem = Path(args.output or spec_path.stem)
-    csv_path = _output_path(stem.with_suffix(".csv"), [spec_path])
-    ann_path = _output_path(stem.with_suffix(".ann"), [spec_path])
+    if stem.suffix in (".csv", ".ann"):  # any other dotted tail is kept
+        stem = stem.with_suffix("")
+    csv_path = _output_path(f"{stem}.csv", [spec_path])
+    ann_path = _output_path(f"{stem}.ann", [spec_path])
     record, annotations = synth_ecg(spec)
     save_csv(record, csv_path)
     save_annotations(annotations, ann_path)

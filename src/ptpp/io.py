@@ -540,13 +540,34 @@ def load_annotations(path: str | Path, format: str = "auto",
     raise ParseError(f"unknown annotation format {format!r}")
 
 
+# Rows per write in _write_columns. A block's floats and lines are all alive
+# at once; 256-row blocks were no measurably faster on a stages dump, but
+# raised its peak RSS by ~0.1 MB.
+_WRITE_BLOCK_ROWS = 64
+
+
+def _write_columns(path: str | Path, header: Sequence[str],
+                   columns: Sequence[np.ndarray]) -> None:
+    """Write ``header``, then one ``index,repr(value),...`` line per sample of
+    the equal-length ``columns``, each value cast to float64 first."""
+    columns = [np.asarray(c, dtype=np.float64) for c in columns]
+    line = "{}" + ",{!r}" * len(columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            rows = range(start, start + _WRITE_BLOCK_ROWS)
+            block = [c[start:rows.stop].tolist() for c in columns]
+            if len(block) == 1:  # an f-string beats str.format on one column
+                lines = [f"{i},{v!r}\n" for i, v in zip(rows, block[0])]
+            else:
+                lines = map(line.format, rows, *block)
+            fh.write("".join(lines))
+
+
 def save_csv(record: Record, path: str | Path, channel: int = 0) -> None:
     """Write one channel as ``index,value`` lines readable by load_csv."""
-    samples = record.channels[channel].samples
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_index,value\n")
-        for i, v in enumerate(samples):
-            fh.write(f"{i},{float(v)!r}\n")
+    _write_columns(path, ["sample_index", "value"],
+                   [record.channels[channel].samples])
 
 
 def save_annotations(annotations: AnnotationSet, path: str | Path) -> None:

@@ -1,15 +1,17 @@
 """Record the CLI output digests that ``tests/test_cli_goldens.py`` compares against.
 
 Renders two small records, runs ``detect``, ``stages``, ``eval`` and
-``compare`` on them through :func:`ptpp.cli.main`, and keeps a SHA-256 of
-every file those calls write:
+``compare`` on them and ``synth`` on a spec through :func:`ptpp.cli.main`,
+and keeps a SHA-256 of every file those calls write:
 
 - ``detect --detector {ptpp,pt}`` on a CSV record and on a two-lead
   format-212 WFDB record (``MLII``/``V5``);
 - ``stages --detector {ptpp,pt}`` on the CSV record;
 - ``eval`` and ``compare`` on both records together. Metrics files are
   digested without their ``exec_time_s`` column; the disagreements file is
-  digested whole.
+  digested whole;
+- ``synth`` on the CSV record's spec with a plain ``-o`` stem: the ``.csv``
+  and the ``.ann`` it writes.
 
 Regenerate only on purpose, from a commit whose CLI outputs are trusted::
 
@@ -122,6 +124,13 @@ def cli_digests(root: Path) -> dict[str, str]:
           "--disagreements", str(dis)])
     digests[out.name] = metrics_digest(out)
     digests[dis.name] = _sha256(dis.read_bytes())
+
+    spec = root / "synth-spec.json"
+    spec.write_text(json.dumps(CSV_SPEC), encoding="utf-8")
+    _run(["synth", str(spec), "-o", str(root / "synthrec")])
+    for suffix in (".csv", ".ann"):
+        out = root / f"synthrec{suffix}"
+        digests[out.name] = _sha256(out.read_bytes())
     return digests
 
 

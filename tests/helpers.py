@@ -6,13 +6,15 @@ re-implementations of the WFDB byte formats (used as oracles against the
 parsers in :mod:`ptpp.io`), the loops that ``load_csv``, ``localize_rpeaks``,
 candidate thinning and the band-channel amplitude replaced (oracles for their
 vectorised forms), the full-copy convolution and WFDB decoders (oracles for
-their leaner forms), and the locator for the optional real-record spot
-check.
+their leaner forms), the per-row ``stages`` and ``save_csv`` writers
+(oracles for the block writer), and the locator for the optional
+real-record spot check.
 """
 
 from __future__ import annotations
 
 import bisect
+import csv
 import math
 import os
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 import ptpp
+import ptpp.cli
 import ptpp.io
 
 FS = 360.0
@@ -342,6 +345,33 @@ def decode_format16_reference(data: bytes,
     flat = np.frombuffer(data, dtype="<i2", count=total)
     raw = flat.reshape(header.n_samples, header.n_channels).astype(np.float64)
     return _to_millivolts_reference(raw, header)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def stages_writer_reference(path: str | Path, samples: np.ndarray,
+                            stages: ptpp.StageOutputs) -> None:
+    """The file ``ptpp stages`` wrote with its per-row generator."""
+    rows = ([i, repr(float(samples[i])), repr(float(stages.filtered[i])),
+             repr(float(stages.derived[i])), repr(float(stages.squared[i])),
+             repr(float(stages.smoothed[i])), repr(float(stages.integrated[i]))]
+            for i in range(len(samples)))
+    _write_csv(path, ptpp.cli.STAGES_HEADER, rows)
+
+
+def save_csv_reference(record: ptpp.Record, path: str | Path,
+                       channel: int = 0) -> None:
+    """``ptpp.save_csv`` as its original per-line loop."""
+    samples = record.channels[channel].samples
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("sample_index,value\n")
+        for i, v in enumerate(samples):
+            fh.write(f"{i},{float(v)!r}\n")
 
 
 # ---------------------------------------------------------------------------

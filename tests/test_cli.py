@@ -165,6 +165,28 @@ class TestSynthCommand:
         truth = ptpp.load_annotations(tmp_path / "out.ann")
         assert f"{len(truth.beat_samples)} beats" in capsys.readouterr().out
 
+    def test_dotted_stem_keeps_its_tail(self, tmp_path):
+        spec = write_spec(tmp_path / "s.json", duration_s=2.0)
+        for stem in ("seed.1", "seed.2"):
+            assert main(["synth", spec, "-o", str(tmp_path / stem)]) == 0
+        written = {p.name for p in tmp_path.iterdir()} - {"s.json"}
+        assert written == {"seed.1.csv", "seed.1.ann", "seed.2.csv",
+                           "seed.2.ann"}
+
+    @pytest.mark.parametrize("stem,spec_name,names", [
+        ("rec", "s.json", ("rec.csv", "rec.ann")),
+        ("rec.csv", "s.json", ("rec.csv", "rec.ann")),
+        ("rec.ann", "s.json", ("rec.csv", "rec.ann")),
+        (None, "spec.v2.json", ("spec.v2.csv", "spec.v2.ann")),
+    ])
+    def test_output_names(self, tmp_path, monkeypatch, stem, spec_name,
+                          names):
+        monkeypatch.chdir(tmp_path)  # without -o, synth writes here
+        spec = write_spec(tmp_path / spec_name, duration_s=2.0)
+        argv = ["synth", spec] + (["-o", str(tmp_path / stem)] if stem else [])
+        assert main(argv) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {spec_name, *names}
+
     def test_takes_no_settings(self, tmp_path):
         spec = write_spec(tmp_path / "s.json", duration_s=10.0)
         with pytest.raises(SystemExit) as exc:

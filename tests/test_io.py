@@ -3,9 +3,11 @@
 The format-212 and annotation-stream tests check the parsers against
 independent encoders in ``helpers`` rather than against the parsers' own
 inverse, so a packing mistake cannot cancel itself out. The CSV reader is
-checked against its original per-line loop the same way.
+checked against its original per-line loop the same way, and the block
+writer behind ``save_csv`` and ``stages`` against the per-row writers.
 """
 
+import math
 import re
 import tempfile
 import tracemalloc
@@ -19,11 +21,13 @@ import pytest
 
 import ptpp
 import ptpp.io
+from ptpp.cli import STAGES_HEADER
 from ptpp.io import BEAT_CODE_BY_SYMBOL
 
 from helpers import (AtrStream, atr_word, decode_format16_reference,
                      decode_format212_reference, encode212,
-                     load_csv_reference, make_header, sign_extend_12)
+                     load_csv_reference, make_header, save_csv_reference,
+                     sign_extend_12, stages_writer_reference)
 
 GOLDEN_100_HEA = """\
 100 2 360 650000 0:0:0 0/0/0
@@ -235,6 +239,91 @@ class TestLoadCsvOracle:
                 tracemalloc.stop()
         fast, loop = peaks
         assert fast < loop
+
+
+# Values where repr's output changes shape: signed zero, the smallest
+# subnormal, the switches to and from exponent form, the non-finite ones.
+_WRITE_SPECIALS = [-0.0, 5e-324, 1e-05, 1e16, 9999999999999998.0,
+                   math.nan, math.inf, -math.inf]
+_WRITE_BLOCK = ptpp.io._WRITE_BLOCK_ROWS
+
+
+@st.composite
+def write_column(draw, n):
+    """``n`` values, picked at random from a few drawn ones, as a float64,
+    float32 or int64 array."""
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    if dtype is np.int64:
+        values = st.integers(-2**63, 2**63 - 1) | st.sampled_from(
+            [0, -1, 2**53 + 1, -2**63, 2**63 - 1])
+    else:
+        width = 64 if dtype is np.float64 else 32
+        values = st.sampled_from(_WRITE_SPECIALS) | st.floats(width=width)
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=8)),
+                    dtype=dtype)
+    picks = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        0, len(pool), n)
+    return pool[picks]
+
+
+_WRITE_LENGTHS = (st.sampled_from([0, 1, _WRITE_BLOCK - 1, _WRITE_BLOCK,
+                                   _WRITE_BLOCK + 1])
+                  | st.integers(0, 3 * _WRITE_BLOCK + 2))
+
+
+class TestWriteColumns:
+    """The block writer behind ``stages`` and ``save_csv`` against the
+    per-row writers it replaced: the same file bytes."""
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(data=st.data(), n=_WRITE_LENGTHS)
+    def test_stages_match_per_row_writer(self, data, n):
+        raw, filtered, derived, squared, smoothed, integrated = (
+            data.draw(write_column(n)) for _ in range(6))
+        if data.draw(st.booleans()):  # pt's stages pass squared as smoothed
+            smoothed = squared
+        stages = ptpp.StageOutputs(filtered, derived, squared, smoothed,
+                                   integrated)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            ptpp.io._write_columns(got, STAGES_HEADER,
+                                   [raw, filtered, derived, squared, smoothed,
+                                    integrated])
+            stages_writer_reference(want, raw, stages)
+            assert got.read_bytes() == want.read_bytes()
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(data=st.data(), n=_WRITE_LENGTHS)
+    def test_save_csv_matches_per_line_writer(self, data, n):
+        samples = data.draw(write_column(n))
+        record = ptpp.Record(360.0, [ptpp.Channel("ecg", samples, 1.0, 0)], n)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            ptpp.save_csv(record, got)
+            save_csv_reference(record, want)
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_peak_memory_at_most_per_row_writer(self, tmp_path):
+        # One 75 s record at 360 Hz, as the stages benchmark dumps it.
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=75.0,
+                                                  noise_snr_db=20.0, seed=1))
+        samples = record.channels[0].samples
+        stages = ptpp.run_pipeline(samples, record.sampling_rate_hz)
+        columns = [samples, stages.filtered, stages.derived, stages.squared,
+                   stages.smoothed, stages.integrated]
+        peaks = []
+        for write in (
+                lambda path: ptpp.io._write_columns(path, STAGES_HEADER,
+                                                    columns),
+                lambda path: stages_writer_reference(path, samples, stages)):
+            tracemalloc.start()
+            try:
+                write(tmp_path / "stages.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        block, per_row = peaks
+        assert block <= per_row
 
 
 # ---------------------------------------------------------------------------
