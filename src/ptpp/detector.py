@@ -39,7 +39,6 @@ VIA_SEARCHBACK = "searchback_t3"
 VIA_SPIKE_RECOVERY = "spike_recovery"
 REJECT_BELOW = "below_threshold"
 REJECT_TWAVE = "t_wave"
-REJECT_REFRACTORY = "refractory"
 
 
 @dataclass(slots=True)
@@ -312,10 +311,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         peaks = [float(integ[i])] + [float(b[k]) for b in band]
         rr = (i - beat_idx[-1]) if beat_idx else None
         rr_mean = mean_rr()
-        # A refractory candidate is a noise peak and faces no other test.
-        reason = REJECT_REFRACTORY if rr is not None and rr < min_sep else None
 
-        passes_amp = reason is None and all(
+        passes_amp = all(
             peak > lv.threshold1 for peak, lv in zip(peaks, levels))
         is_twave = False
         if passes_amp and rr is not None and (
@@ -327,7 +324,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         accept_current = passes_amp and not is_twave
 
         inserted_at = None
-        if reason is None and rr is not None and (rr > sb_abs or (
+        if rr is not None and (rr > sb_abs or (
                 rr_mean is not None and rr > cfg.searchback_rr_factor * rr_mean)):
             left = beat_idx[-1] + blank
             right = (i - min_sep) if accept_current else i
@@ -355,12 +352,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             for lv, peak in zip(levels, peaks):
                 lv.signal(peak)
             add_beat(i, VIA_THRESHOLD1)
-        elif is_twave:
-            reason = REJECT_TWAVE
-        elif reason is None and inserted_at != i:
-            reason = REJECT_BELOW
-        if reason is not None:
-            rejected.append((i, reason))
+        elif is_twave or inserted_at != i:
+            rejected.append((i, REJECT_TWAVE if is_twave else REJECT_BELOW))
             for lv, peak in zip(levels, peaks):
                 lv.noise(peak)
 

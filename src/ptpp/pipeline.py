@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.signal
 
-from .errors import ConfigError, InputTooShortError
+from .errors import ConfigError, InputTooShortError, ProcessingError
 
 # Flat-top window coefficients. These are the truncated five-term values in
 # common circulation rather than the exact harris coefficients; they are kept
@@ -85,23 +85,29 @@ class StageOutputs:
 
 def _design_sos(fs: float, config: PipelineConfig) -> np.ndarray:
     config.validate(fs)
-    return scipy.signal.butter(
-        config.filter_order,
-        [config.band_low_hz, config.band_high_hz],
-        btype="bandpass", fs=fs, output="sos")
+    band = (config.band_low_hz, config.band_high_hz)
+    with np.errstate(all="ignore"):
+        try:
+            sos = scipy.signal.butter(config.filter_order, band,
+                                      btype="bandpass", fs=fs, output="sos")
+        except OverflowError:  # the gain, k * bw**degree; refused below
+            sos = np.zeros((1, 6))
+    if not (np.isfinite(sos).all() and sos[0, :3].any()):  # gain inf/NaN/0
+        raise ConfigError(f"order-{config.filter_order} Butterworth band-pass "
+                          f"of {band} Hz at fs={fs} does not fit a float")
+    return sos
 
 
 def _sos_group_delay(sos: np.ndarray, fs: float, freq_hz: float) -> float:
-    total = 0.0
-    for section in sos:
-        # butter folds the filter gain into the first section's numerator,
-        # and scipy's near-singular warning tests an absolute size. The
-        # delay does not depend on the numerator's scale, so drop it.
-        b, a = section[:3], section[3:]
-        _, gd = scipy.signal.group_delay((b / np.abs(b).max(), a),
-                                         w=[freq_hz], fs=fs)
-        total += float(gd[0])
-    return total
+    # Each numerator delays one sample (butter's zeros sit at z = ±1), each
+    # denominator a -Re(Σ k a_k z^-k / Σ a_k z^-k). @ would map BLAS buffers.
+    k = np.arange(3)
+    az = sos[:, 3:] * np.exp(-2j * np.pi * freq_hz / fs * k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delay = float(len(sos) - ((az * k).sum(1) / az.sum(1)).real.sum())
+    if not math.isfinite(delay):  # a pole at z = e^jw
+        raise ProcessingError(f"band-pass delay undefined at {freq_hz:g} Hz")
+    return delay
 
 
 def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarray:

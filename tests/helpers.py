@@ -7,8 +7,9 @@ parsers in :mod:`ptpp.io`), the loops that ``load_csv``, ``localize_rpeaks``,
 candidate thinning and the band-channel amplitude replaced (oracles for their
 vectorised forms), the full-copy convolution and WFDB decoders (oracles for
 their leaner forms), the per-row ``stages`` and ``save_csv`` writers
-(oracles for the block writer), and the locator for the optional
-real-record spot check.
+(oracles for the block writer), the per-section scipy band-pass delay
+(oracle for its closed form), and the locator for the optional real-record
+spot check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 from pathlib import Path
 
 import numpy as np
+import scipy.signal
 
 import ptpp
 import ptpp.cli
@@ -284,6 +286,22 @@ def causal_convolve_reference(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k = len(kernel)
     padded = np.concatenate([np.full(k - 1, x[0]), x])
     return np.convolve(padded, kernel, mode="valid")
+
+
+def sos_group_delay_reference(sos: np.ndarray, fs: float,
+                              freq_hz: float) -> float:
+    """``ptpp.pipeline._sos_group_delay`` as scipy's ``group_delay`` reads
+    it, one section at a time."""
+    total = 0.0
+    for section in sos:
+        # butter folds the filter gain into the first section's numerator,
+        # and scipy's near-singular warning tests an absolute size. The
+        # delay does not depend on the numerator's scale, so drop it.
+        b, a = section[:3], section[3:]
+        _, gd = scipy.signal.group_delay((b / np.abs(b).max(), a),
+                                         w=[freq_hz], fs=fs)
+        total += float(gd[0])
+    return total
 
 
 def _to_millivolts_reference(raw: np.ndarray,

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -665,6 +666,25 @@ class TestNumericInputs:
         (["detect", "{csv}", "--set", "pipeline.filter_order=12",
           "--set", "pipeline.band_low_hz=9.99",
           "--set", "pipeline.band_high_hz=10.01"], 4),
+        # Band-passes whose delay is undefined (poles on z = 1): at the
+        # centre, at the 10 Hz probe (NaN) and at the probe again (inf).
+        (["detect", "{csv}", "--set", "pipeline.band_low_hz=1e-300"], 4),
+        (["detect", "{csv}", "--set", "eval.fs=1e11",
+          "--set", "pipeline.band_low_hz=1e-6",
+          "--set", "pipeline.band_high_hz=1e10",
+          "--set", "pipeline.filter_order=2"], 4),
+        (["detect", "{csv}", "--set", "eval.fs=1e11",
+          "--set", "pipeline.band_low_hz=1e-5",
+          "--set", "pipeline.band_high_hz=1e9",
+          "--set", "pipeline.filter_order=5"], 4),
+        # Butterworth designs whose gain overflows, turns NaN or underflows.
+        (["detect", "{csv}", "--set", "pipeline.filter_order=50",
+          "--set", "pipeline.band_high_hz=179.9999"], 2),
+        (["stages", "{csv}", "--set", "pipeline.filter_order=50",
+          "--set", "pipeline.band_high_hz=179.9999"], 2),
+        (["detect", "{csv}", "--set", "pipeline.filter_order=250"], 2),
+        (["stages", "{csv}", "--set", "pipeline.filter_order=250"], 2),
+        (["detect", "{csv}", "--set", "pipeline.filter_order=249"], 2),
         # Outputs that name an input.
         (["detect", "{rec}", "-o", "{rec}"], 2),
         (["stages", "{rec}", "-o", "{rec}"], 2),
@@ -750,6 +770,10 @@ class TestNumericInputs:
                 assert f"would overwrite input {source}" in err
         if "-o" in argv and "--disagreements" in argv:
             assert "-o/--output and --disagreements both name" in err
+        if code == 2 and any("filter_order" in arg for arg in argv):
+            assert "Butterworth band-pass of" in err
+        if "eval.fs=1e11" in argv or "pipeline.band_low_hz=1e-300" in argv:
+            assert "band-pass delay undefined at" in err
         for name, path in unusable.items():
             if f"{{{name}}}" in argv:
                 assert f"config error: {path}: " in err
@@ -816,13 +840,20 @@ class TestSettingsFuzz:
         st.tuples(st.sampled_from(_SETTING_KEYS), _setting_values),
         st.tuples(st.just("pipeline.filter_order"),
                   st.integers(1, 12).map(str))), max_size=4))
+    # Delays that scipy's group_delay misread, with a warning or a
+    # division by zero.
+    @hypothesis.example(pairs=[("eval.fs", "222798")])
+    @hypothesis.example(pairs=[("eval.fs", "99999999999999999999")])
+    @hypothesis.example(pairs=[("pipeline.band_low_hz", "1e-300")])
     def test_exit_code_is_typed(self, short, pairs):
         argv = ["compare", str(short / "rec.csv"),
                 "--annotations", str(short / "rec.ann"),
                 "-o", str(short / "out.csv")]
         for key, value in pairs:
             argv += ["--set", f"{key}={value}"]
-        assert main(argv) in (0, 2, 3, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is no typed exit
+            assert main(argv) in (0, 2, 3, 4)
 
 
 class TestNonUtf8Input:

@@ -1,6 +1,8 @@
 """Preprocessing stage tests: exact stencil arithmetic, window shapes,
 frequency response, delay bookkeeping, and linearity properties."""
 
+import math
+import re
 import warnings
 
 import hypothesis
@@ -11,12 +13,19 @@ import pytest
 
 import ptpp
 from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
-                           FLATTOP_A4, MIN_SMOOTH_SAMPLES, _causal_convolve,
-                           _design_sos, _sos_group_delay)
+                           FLATTOP_A4, GROUP_DELAY_PROBE_HZ,
+                           MIN_SMOOTH_SAMPLES, _causal_convolve, _design_sos,
+                           _sos_group_delay)
 
-from helpers import causal_convolve_reference
+from helpers import causal_convolve_reference, sos_group_delay_reference
 
 FS = 360.0
+
+# Orders x sampling rates x bands the closed-form delay is checked on.
+DELAY_GRID = [(order, fs, band) for order in range(1, 13)
+              for fs in (128.0, 250.0, 256.0, 360.0, 500.0, 1000.0)
+              for band in ((5.0, 18.0), (5.0, 15.0), (0.5, 40.0), (3.0, 30.0),
+                           (10.0, 25.0), (12.0, 30.0), (1.0, 45.0))]
 
 finite_signals = hnp.arrays(
     np.float64,
@@ -33,6 +42,11 @@ def sine(freq_hz, fs=FS, duration_s=10.0, amplitude=1.0):
 
 def steady_amplitude(y, fs=FS, settle_s=2.0):
     return float(np.max(np.abs(y[int(settle_s * fs):])))
+
+
+def design(order, fs, low, high):
+    return _design_sos(fs, ptpp.PipelineConfig(
+        band_low_hz=low, band_high_hz=high, filter_order=order))
 
 
 class TestMsToSamples:
@@ -108,11 +122,12 @@ class TestBandpass:
 
     @pytest.mark.parametrize("fs,low,high,refused", [
         (1000.0, 5.0, 18.0, False), (FS, 17.99, 18.0, True),
-        (FS, 9.99, 10.01, True)])
+        (FS, 9.99, 10.01, True), (FS, 0.0001, 0.1, True)])
     def test_order_12_delays_raise_no_scipy_warning(self, fs, low, high,
                                                     refused):
         # butter puts the filter gain (1.6e-17 for the first design) into
-        # the first section's numerator; the delays must not warn about it.
+        # the first section's numerator, and the last design's poles sit
+        # next to z = 1; the delays must not warn about either.
         cfg = ptpp.PipelineConfig(band_low_hz=low, band_high_hz=high,
                                   filter_order=12)
         with warnings.catch_warnings():
@@ -123,6 +138,68 @@ class TestBandpass:
                     ptpp.run_pipeline(sine(12.0, fs, 20.0), fs, cfg)
             else:
                 ptpp.run_pipeline(sine(12.0, fs, 20.0), fs, cfg)
+
+    @pytest.mark.parametrize("order,high", [
+        (50, 179.9999), (250, 18.0), (249, 18.0)],
+        ids=["gain-overflows", "gain-nan", "gain-underflows"])
+    def test_design_that_does_not_fit_a_float_refused(self, order, high):
+        cfg = ptpp.PipelineConfig(band_high_hz=high, filter_order=order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ptpp.ConfigError, match=re.escape(
+                    f"order-{order} Butterworth band-pass of (5.0, {high}) "
+                    f"Hz at fs=360.0 does not fit a float")):
+                ptpp.bandpass(np.zeros(1000), FS, cfg)
+
+    def test_undefined_delay_refused(self):
+        # The centre rounds to 0 Hz against poles rounded onto z = 1.
+        cfg = ptpp.PipelineConfig(band_low_hz=1e-300)
+        with pytest.raises(ptpp.ProcessingError, match=(
+                "band-pass delay undefined at 4.24264e-150 Hz")):
+            ptpp.bandpass(np.zeros(100_000), FS, cfg)
+
+
+class TestGroupDelay:
+    """The closed-form band-pass delay against scipy's per-section reading
+    and, near 0 Hz where scipy misreads it, against 60-digit arithmetic."""
+
+    def test_matches_scipy_on_the_design_grid(self):
+        for order, fs, (low, high) in DELAY_GRID:
+            sos = design(order, fs, low, high)
+            for freq in (GROUP_DELAY_PROBE_HZ, math.sqrt(low * high)):
+                delay = _sos_group_delay(sos, fs, freq)
+                ref = sos_group_delay_reference(sos, fs, freq)
+                assert delay == pytest.approx(ref, rel=1e-8)
+                if freq == GROUP_DELAY_PROBE_HZ:  # the stage delay
+                    assert int(delay + 0.5) == int(ref + 0.5)
+
+    def test_numerators_are_symmetric_or_antisymmetric(self):
+        # The closed form's premise: a second-order numerator with its zeros
+        # at z = +-1 is one of these, and delays exactly one sample.
+        for order, fs, (low, high) in DELAY_GRID:
+            for b in design(order, fs, low, high)[:, :3]:
+                assert (np.array_equal(b, b[::-1])
+                        or np.array_equal(b, -b[::-1]))
+
+    @pytest.mark.parametrize("order,expected", [
+        (1, 1147.06), (3, 2294.13), (6, 4431.91), (12, 8787.99)])
+    def test_near_0_hz_band_against_60_digits(self, order, expected):
+        # scipy's group_delay reads 1147.06 / 2,264,125 / 1,732,743 / 3,729.
+        mpmath = pytest.importorskip("mpmath")
+        sos = design(order, FS, 0.0001, 0.1)
+        freq = math.sqrt(0.0001 * 0.1)
+        with mpmath.workdps(60):
+            z = mpmath.expj(-2 * mpmath.pi * mpmath.mpf(freq) / FS)
+            ref = mpmath.mpf(0)
+            for section in sos:  # numerators and denominators alike
+                for coeffs, sign in ((section[:3], 1), (section[3:], -1)):
+                    c = [mpmath.mpf(float(x)) for x in coeffs]
+                    ref += sign * mpmath.re(
+                        sum(k * c[k] * z**k for k in range(3))
+                        / sum(c[k] * z**k for k in range(3)))
+        delay = _sos_group_delay(sos, FS, freq)
+        assert delay == pytest.approx(float(ref), rel=1e-6)
+        assert delay == pytest.approx(expected, abs=0.005)
 
 
 class TestDerivative:
