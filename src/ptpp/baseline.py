@@ -7,8 +7,7 @@ refractory, a 0.5 T-wave slope ratio, search-back triggered purely by
 1.66·rr_mean with threshold2 as its bar and slow Rule-1 adaptation, no
 low-threshold recovery, and the old "halve the thresholds when an RR
 interval falls outside 92–116 % of the running mean" adjustment. Pair it
-with the 5–15 Hz band and no flat-top smoothing
-(``PipelineConfig(band_high_hz=15, smooth_enabled=False)``).
+with the pipeline config ``ptpp.default_pipeline_config("pt")`` returns.
 """
 
 from __future__ import annotations

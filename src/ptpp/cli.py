@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "records (default 360)")
     common.add_argument("--output", "-o", help="output path")
     detector.add_argument("--detector", choices=DETECTORS, default="ptpp")
-    scoring.add_argument("--annotations", nargs="*", default=[], metavar="FILE",
+    scoring.add_argument("--annotations", nargs="+", default=[], metavar="FILE",
                          help="annotation files, one per record "
                               "(default: sibling .atr/.ann/.txt)")
     scoring.add_argument("--tolerance-ms", type=float, dest="tolerance_ms")

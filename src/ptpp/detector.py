@@ -262,9 +262,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     p = policy
     integ = np.asarray(stages.integrated, dtype=np.float64)
     filt = np.asarray(stages.filtered, dtype=np.float64)
-    delays = stages.stage_delays_samples
-    align = (delays.get("derivative", 0) + delays.get("smooth", 0)
-             + delays.get("mwi", 0))
+    delays = stages.stage_delays_samples  # filt lags integ by every later stage
+    align = sum(delays.values()) - delays.get("bandpass", 0)
     levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
     if p.band_channel:
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)

@@ -110,9 +110,9 @@ def _sos_group_delay(sos: np.ndarray, fs: float, freq_hz: float) -> float:
     return delay
 
 
-def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarray:
-    """Apply the causal Butterworth band-pass. A record shorter than the
-    filter's group delay at the band centre sqrt(low * high) is refused."""
+def _bandpass(samples: np.ndarray, fs: float,
+              config: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    # The filtered signal and the one design that produced it.
     x = np.asarray(samples, dtype=np.float64)
     sos = _design_sos(fs, config)
     centre_hz = math.sqrt(config.band_low_hz * config.band_high_hz)
@@ -121,7 +121,13 @@ def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarr
         raise InputTooShortError(
             f"band-pass delay ({delay:.1f} samples at {centre_hz:g} Hz) "
             f"longer than signal ({len(x)})")
-    return scipy.signal.sosfilt(sos, x)
+    return scipy.signal.sosfilt(sos, x), sos
+
+
+def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarray:
+    """Apply the causal Butterworth band-pass. A record shorter than the
+    filter's group delay at the band centre sqrt(low * high) is refused."""
+    return _bandpass(samples, fs, config)[0]
 
 
 def derivative(samples: np.ndarray, fs: float) -> np.ndarray:
@@ -204,21 +210,17 @@ def run_pipeline(samples: np.ndarray, fs: float,
     if config is None:
         config = PipelineConfig()
 
-    filtered = bandpass(samples, fs, config)
-    sos = _design_sos(fs, config)
+    filtered, sos = _bandpass(samples, fs, config)
     bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
 
     derived = derivative(filtered, fs)
     squared = square(derived)
 
+    smoothed, width = squared, 1  # the bypass: a one-sample window
     if config.smooth_enabled:
         width = ms_to_samples(config.smooth_window_ms, fs,
                               minimum=MIN_SMOOTH_SAMPLES)
         smoothed = smooth(squared, width)
-        smooth_delay = (width - 1) // 2
-    else:
-        smoothed = squared
-        smooth_delay = 0
 
     mwi_width = ms_to_samples(config.mwi_window_ms, fs, minimum=1)
     integrated = mwi(smoothed, mwi_width)
@@ -227,7 +229,7 @@ def run_pipeline(samples: np.ndarray, fs: float,
         "bandpass": bp_delay,
         "derivative": 0,
         "square": 0,
-        "smooth": smooth_delay,
+        "smooth": (width - 1) // 2,
         "mwi": (mwi_width - 1) // 2,
     }
     return StageOutputs(filtered=filtered, derived=derived, squared=squared,

@@ -85,7 +85,7 @@ _COMMON = [
 ]
 _DETECTOR = (("--detector",), "detector", "ptpp", None, ("ptpp", "pt"), None)
 _SCORING = [
-    (("--annotations",), "annotations", [], "*", None, None),
+    (("--annotations",), "annotations", [], "+", None, None),
     (("--tolerance-ms",), "tolerance_ms", None, None, None, float),
     (("--dataset",), "dataset", None, None, None, None),
 ]
@@ -433,6 +433,16 @@ class TestEvalCommand:
                      "-o", str(out)]) == 0
         _, rows = read_csv(out)
         assert int(rows[0][3]) == clean["beats"]
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_annotations_flag_needs_a_file(self, clean, tmp_path, command):
+        # With no file after the flag, the sibling .ann must not be used.
+        out = tmp_path / "m.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, clean["csv"], "--fs", "360", "-o", str(out),
+                  "--annotations"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_annotation_count_mismatch(self, clean, tmp_path):
         assert main(["eval", clean["csv"], clean["csv"],

@@ -525,6 +525,25 @@ class TestBandAmplitude:
         expected = [band_peak_reference(filtered, i, align, fs) for i in idx]
         np.testing.assert_array_equal(out, np.asarray(expected, dtype=float))
 
+    def test_aligned_by_every_stage_after_the_band_pass(self):
+        # The band-passed peak sits 10 samples before the integrated hump,
+        # and all 10 samples of delay are on "square".
+        integ = np.zeros(600)
+        add_triangle(integ, 300, 1.0)
+        filt = np.zeros(600)
+        filt[290] = 3.0
+        z = np.zeros(600)
+        stages = ptpp.StageOutputs(
+            filtered=filt, derived=z, squared=z, smoothed=z,
+            integrated=integ,
+            stage_delays_samples={**zero_delays(), "square": 10})
+        trace: list = []
+        result = ptpp.detect(stages, FS, trace=trace)
+        assert result.provenance == [VIA_THRESHOLD1]
+        [(i, _, band_state)] = trace
+        assert i == 300
+        assert band_state.spk == 0.125 * 3.0
+
     def test_search_back_find_takes_its_own_window(self):
         # The hump at 320 has no band-passed counterpart, so it is rejected
         # and later found by the search-back that the beat at 420 triggers.

@@ -4,12 +4,14 @@ frequency response, delay bookkeeping, and linearity properties."""
 import math
 import re
 import warnings
+from unittest import mock
 
 import hypothesis
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
+import scipy.signal
 
 import ptpp
 from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
@@ -405,6 +407,26 @@ class TestRunPipeline:
         cfg = ptpp.PipelineConfig(smooth_window_ms=5000.0)  # 1800 samples
         with pytest.raises(ptpp.InputTooShortError, match="1800.*1000"):
             ptpp.run_pipeline(np.zeros(1000), FS, cfg)
+
+    @pytest.mark.parametrize("run", [ptpp.run_pipeline, ptpp.bandpass],
+                             ids=["run_pipeline", "bandpass"])
+    def test_one_design_per_record(self, run):
+        x = np.random.default_rng(5).normal(size=1000)
+        with mock.patch.object(scipy.signal, "butter",
+                               wraps=scipy.signal.butter) as butter:
+            run(x, FS, ptpp.PipelineConfig())
+        assert butter.call_count == 1
+
+    def test_bandpass_alone_reads_no_probe_delay(self):
+        # The 10 Hz probe of this design is NaN; its centre delay is a finite
+        # 1.18 samples. Only run_pipeline needs the probe.
+        cfg = ptpp.PipelineConfig(band_low_hz=1e-6, band_high_hz=1e10,
+                                  filter_order=2)
+        x = np.random.default_rng(6).normal(size=5000)
+        assert len(ptpp.bandpass(x, 1e11, cfg)) == 5000
+        with pytest.raises(ptpp.ProcessingError,
+                           match="band-pass delay undefined at 10 Hz"):
+            ptpp.run_pipeline(x, 1e11, cfg)
 
     def test_smoothing_bypass(self):
         cfg = ptpp.PipelineConfig(smooth_enabled=False)
