@@ -116,7 +116,7 @@ class DetectorConfig:
             raise ConfigError("rr_history_beats must be >= 1")
         if self.rr_history_beats > sys.maxsize:  # a deque's largest maxlen
             raise ConfigError(f"rr_history_beats must be <= {sys.maxsize}")
-        if not 0 < self.twave_slope_ratio < 1:
+        if self.twave_slope_ratio >= 1:  # positive and finite by now
             raise ConfigError("twave_slope_ratio must lie in (0, 1)")
 
 
@@ -141,7 +141,7 @@ def find_candidates(integrated: np.ndarray, fs: float,
     # Any two maxima lie closer than len(x) + 1 samples, so a wider spacing
     # thins alike; clipping keeps the int64 sums below from overflowing.
     min_sep = min(ms_to_samples(cfg.min_peak_separation_ms, fs), len(x) + 1)
-    peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
+    peaks = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
     # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
     lo = np.searchsorted(peaks, peaks - (min_sep - 1))
     hi = np.searchsorted(peaks, peaks + min_sep)
@@ -409,8 +409,8 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
 
     Each detection is shifted left by the total causal delay of the pipeline
     and snapped to the largest |raw| sample within ±75 ms. The output is
-    clipped to the record bounds and strictly increasing; when two detections
-    collapse onto the same neighbourhood the larger amplitude wins.
+    clipped to the record bounds and strictly increasing: detections that
+    snap onto one apex collapse into the first of them, which keeps its tag.
 
     ``sources``, when given a list, receives for each returned peak the
     index into ``detections`` of the detection it came from.
@@ -420,15 +420,10 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
         return np.empty(0, dtype=np.int64)
     total_delay = sum(stage_delays.values())
     w = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-    padded, x = _padded_abs(raw, w)
-    mapped = _window_argmax(padded, w, np.asarray(
-        detections.r_peaks, dtype=np.int64) - total_delay).tolist()
-    kept: list[int] = []  # indices into mapped
-    for k, j in enumerate(mapped):
-        if not kept or j > mapped[kept[-1]]:
-            kept.append(k)
-        elif x[j] > x[mapped[kept[-1]]]:
-            kept[-1] = k
+    # Sorted centres with equal windows snap to non-decreasing apexes.
+    mapped = _window_argmax(_padded_abs(raw, w)[0], w, np.asarray(
+        detections.r_peaks, dtype=np.int64) - total_delay)
+    kept = np.flatnonzero(np.diff(mapped, prepend=-1))
     if sources is not None:
-        sources.extend(kept)
-    return np.asarray([mapped[k] for k in kept], dtype=np.int64)
+        sources.extend(kept.tolist())
+    return mapped[kept]

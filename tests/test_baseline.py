@@ -6,6 +6,8 @@ RR-mean-only search-back with threshold2 as its bar, the 92-116 % threshold
 halving, and the absence of any low-threshold recovery branch.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,18 @@ class TestPtConfig:
         dict(refractory_ms=0.0),
         dict(rr_low_frac=1.2, rr_high_frac=1.1),
         dict(rr_high_frac=2.5),
+        dict(refractory_ms=math.inf),
+        dict(rr_low_frac=1.1, rr_high_frac=1.1),
+        dict(rr_high_frac=2.0),
     ])
     def test_validate_rejects(self, bad):
         with pytest.raises(ptpp.ConfigError):
             ptpp.PtConfig(**bad).validate()
+
+    def test_detect_pt_validates(self):
+        with pytest.raises(ptpp.ConfigError):
+            ptpp.detect_pt(make_stages(np.zeros(300)), FS,
+                           ptpp.PtConfig(refractory_ms=0.0))
 
 
 class TestClassicLoop:
@@ -90,6 +100,19 @@ class TestClassicLoop:
         assert 655 not in modern.r_peaks
         assert (655, REJECT_TWAVE) in modern.rejected
 
+    def test_slow_rhythm_has_no_relative_twave_window(self):
+        # 4 s RRs: a flat hump 380 ms after a beat is past the absolute
+        # 360 ms window, and the classic loop has no window relative to
+        # rr_mean, so the hump is a beat (a false positive)
+        integ = np.zeros(3400)
+        apices = list(range(25, 3300, 400))  # 9 beats fill the RR ring
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, apices[-1] + 38, 0.5, half_width=40)
+        result = ptpp.detect_pt(make_stages(integ), FS)
+        np.testing.assert_array_equal(result.r_peaks,
+                                      apices + [apices[-1] + 38])
+
     def test_searchback_uses_threshold2_and_rr_mean(self):
         # nine beats establish rr_mean = 100 samples; a 0.15 hump below
         # threshold1 is skipped, then recovered when RR exceeds 1.66*rr_mean
@@ -112,6 +135,21 @@ class TestClassicLoop:
         _, final = trace[-1]
         coupled = final.npk + 0.25 * (final.spk - final.npk)
         assert final.threshold1 == pytest.approx(0.5 * coupled, rel=1e-12)
+
+    @pytest.mark.parametrize("factor,found", [(1.75, []), (1.74, [885])])
+    def test_searchback_needs_rr_beyond_the_factor(self, factor, found):
+        # rr_mean is exactly 100 and the closing RR 175: a factor of 1.75
+        # leaves the 0.15 hump at 885 a rejected candidate, 1.74 finds it
+        integ = np.zeros(1100)
+        apices = list(range(25, 900, 100))  # 9 beats
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, 885, 0.15)
+        add_triangle(integ, 1000, 1.0)
+        result = ptpp.detect_pt(make_stages(integ), FS,
+                                ptpp.PtConfig(searchback_rr_factor=factor))
+        np.testing.assert_array_equal(result.r_peaks,
+                                      apices + found + [1000])
 
     def test_no_searchback_before_rr_history(self):
         # two beats only: rr_mean undefined, so a 4 s silence is never

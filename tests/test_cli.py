@@ -334,6 +334,14 @@ class TestDetectCommand:
         assert ("bad value for 'detector.min_peak_separation_ms'"
                 in capsys.readouterr().err)
 
+    def test_invalid_detector_config_rejected_before_parsing(self, tmp_path):
+        # Exit 3 would mean the record was parsed before the config check.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("abc\nxyz\n")
+        assert main(["detect", str(bad),
+                     "--set", "detector.min_peak_separation_ms=-1",
+                     "-o", str(tmp_path / "o.csv")]) == 2
+
     def test_invalid_pt_config_reported_before_inputs(self, tmp_path,
                                                       capsys):
         assert main(["detect", str(tmp_path / "nope.csv"), "--detector",
@@ -566,6 +574,23 @@ class TestStagesCommand:
         squared = [r[4] for r in rows]
         smoothed = [r[5] for r in rows]
         assert squared == smoothed
+
+    @pytest.mark.parametrize("word", ["off", "false", "0", "no"])
+    def test_smoothing_switched_off_by_word(self, clean, tmp_path, word):
+        out = tmp_path / "stages.csv"
+        assert main(["stages", clean["csv"], "--fs", "360",
+                     "--set", f"pipeline.smooth_enabled={word}",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[4] for r in rows] == [r[5] for r in rows]
+
+    def test_smoothing_switch_takes_only_known_words(self, clean, tmp_path,
+                                                     capsys):
+        assert main(["stages", clean["csv"], "--fs", "360",
+                     "--set", "pipeline.smooth_enabled=maybe",
+                     "-o", str(tmp_path / "stages.csv")]) == 2
+        assert ("bad value for 'pipeline.smooth_enabled'"
+                in capsys.readouterr().err)
 
 
 class TestBenchCommand:

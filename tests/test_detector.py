@@ -6,6 +6,8 @@ equal to or deliberately different from the integrated channel) so each
 branch fires in a controlled, verifiable way.
 """
 
+import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -19,7 +21,7 @@ import pytest
 import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
                            VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _padded_abs,
-                           _window_argmax)
+                           _samples, _window_argmax)
 
 from helpers import (band_peak_reference, localize_reference,
                      thinned_maxima_reference)
@@ -75,10 +77,20 @@ class TestDetectorConfig:
         dict(twave_slope_ratio=-0.1),
         dict(spike_recovery_t2_frac=0.0),
         dict(rr_history_beats=0),
+        dict(twave_window_ms=math.inf),
+        dict(twave_slope_ratio=1.0),
     ])
     def test_validate_rejects(self, bad):
         with pytest.raises(ptpp.ConfigError):
             ptpp.DetectorConfig(**bad).validate()
+
+    @pytest.mark.parametrize("edge", [
+        dict(rr_history_beats=1),
+        dict(rr_history_beats=sys.maxsize),
+        dict(searchback_abs_s=math.inf, spike_recovery_s=math.inf),
+    ])
+    def test_validate_accepts(self, edge):
+        ptpp.DetectorConfig(**edge).validate()
 
 
 class TestFindCandidates:
@@ -160,6 +172,22 @@ class TestInitThresholds:
         with pytest.raises(ptpp.InputTooShortError):
             ptpp.init_thresholds(np.zeros(199), 100.0)
 
+    def test_default_ratio(self):
+        assert ptpp.init_thresholds(np.zeros(300), 100.0).t2_ratio == 0.4
+
+    def test_window_follows_config(self):
+        # 1 s at fs=5 is the first 5 samples: the spike at sample 7 is out
+        x = np.full(10, 0.3)
+        x[7] = 3.0
+        s = ptpp.init_thresholds(x, 5.0, ptpp.DetectorConfig(init_window_s=1.0))
+        assert abs(s.threshold1 - 0.1) < REL
+
+    def test_window_is_at_least_one_sample(self):
+        # 2 s at fs=0.2 rounds to 0 samples; the first sample is used
+        s = ptpp.init_thresholds(np.array([0.6]), 0.2)
+        assert abs(s.threshold1 - 0.2) < REL
+        assert abs(s.threshold2 - 0.3) < REL
+
 
 class TestRule1:
     def test_fixed_point(self):
@@ -233,6 +261,13 @@ class TestThreshold3:
         assert abs(meansb - 0.5) < REL
         assert abs(ptpp.threshold3(state(threshold2=0.4), meansb) - 0.45) < REL
 
+    def test_zero_mean(self):
+        assert ptpp.threshold3(state(threshold2=0.4), 0.0) == 0.2
+
+    def test_negative_mean_rejected(self):
+        with pytest.raises(ptpp.ProcessingError, match="meansb must be >= 0"):
+            ptpp.threshold3(state(), -0.1)
+
 
 class TestMeanSlope:
     def test_constant_segment(self):
@@ -251,11 +286,24 @@ class TestMeanSlope:
         x = np.arange(50.0)
         assert abs(ptpp.mean_slope(x, 3, FS) - 1.0) < REL
         assert ptpp.mean_slope(x, 0, FS) == 0.0
+        # differences 1, 3, 5: the window starts at sample 0, not 1
+        assert ptpp.mean_slope(x ** 2, 3, FS) == 3.0
+
+    def test_two_samples_give_one_difference(self):
+        assert ptpp.mean_slope(np.array([0.0, 2.0, 9.0]), 1, FS) == 2.0
 
     def test_window_is_trailing(self):
         # slope 1 before idx, slope 9 after: only the trailing side counts
         x = np.concatenate([np.arange(31.0), 30.0 + 9.0 * np.arange(1, 20)])
         assert abs(ptpp.mean_slope(x, 30, FS) - 1.0) < REL
+
+    def test_window_follows_config(self):
+        # Differences 2k + 1: the mean over the 7 (70 ms) or 20 (200 ms)
+        # differences ending at sample 50.
+        x = np.arange(100.0) ** 2
+        assert ptpp.mean_slope(x, 50, FS) == 93.0
+        cfg = ptpp.DetectorConfig(twave_slope_window_ms=200.0)
+        assert ptpp.mean_slope(x, 50, FS, cfg) == 80.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +320,16 @@ class TestDecisionLoop:
         np.testing.assert_array_equal(result.r_peaks, apices)
         assert result.provenance == [VIA_THRESHOLD1] * len(apices)
         assert result.rejected == []
+
+    def test_peak_equal_to_threshold1_is_noise(self):
+        # threshold1 starts at max/3 of the first 2 s: the first hump, at
+        # exactly that height, does not exceed it on either channel
+        x = np.zeros(300)
+        add_triangle(x, 25, 1.0 / 3.0)
+        add_triangle(x, 125, 1.0)
+        result = ptpp.detect(make_stages(x), FS)
+        np.testing.assert_array_equal(result.r_peaks, [125])
+        assert result.rejected == [(25, REJECT_BELOW)]
 
     def test_twave_rejected_by_slope(self):
         # nine beats at RR=2 s build rr_mean=200 samples; a broad hump 90
@@ -320,6 +378,44 @@ class TestDecisionLoop:
         # the rejection fed the noise estimate of the integrated channel
         by_cand = {i: s_i for i, s_i, _ in trace}
         assert by_cand[320].npk > by_cand[225].npk
+
+    @pytest.mark.parametrize("last,expected", [
+        (325, [25, 125, 225, 325]), (326, [25, 125, 225, 275, 326])])
+    def test_search_back_needs_a_gap_longer_than_1_s(self, last, expected):
+        # 1 s is exactly 100 samples: the integrated-only hump at 275 is
+        # searched for only when the next beat comes later than 325
+        integ = np.zeros(500)
+        filt = np.zeros(500)
+        for a in (25, 125, 225, last):
+            add_triangle(integ, a, 1.0)
+            add_triangle(filt, a, 1.0)
+        add_triangle(integ, 275, 0.8)
+        result = ptpp.detect(make_stages(integ, filt), FS)
+        np.testing.assert_array_equal(result.r_peaks, expected)
+
+    @pytest.mark.parametrize("last,bar,tag", [
+        (360, lambda s: s.threshold3(1.0), VIA_SEARCHBACK),
+        (375, lambda s: 0.2 * s.threshold2, VIA_SPIKE_RECOVERY)])
+    def test_search_back_bars_are_strict(self, last, bar, tag):
+        # The search-back window opens at 261 on the falling side of the beat
+        # at 225, so its first sample is its maximum and no candidate. Set
+        # to the bar exactly it is no beat; one ulp higher it is. meansb is
+        # 1.0: three beats behind and one candidate ahead, all of height 1.
+        integ = np.zeros(500)
+        filt = np.zeros(500)
+        for a in (25, 125, 225, last):
+            add_triangle(integ, a, 1.0)
+            add_triangle(filt, a, 1.0)
+        integ[226:261] = np.linspace(0.99, 0.95, 35)
+        trace: list = []
+        ptpp.detect(make_stages(integ, filt), FS, trace=trace)
+        lead = {i: s_i for i, s_i, _ in trace}[225]
+        for value, found in ((bar(lead), False),
+                             (np.nextafter(bar(lead), np.inf), True)):
+            integ[261] = value
+            result = ptpp.detect(make_stages(integ, filt), FS)
+            assert (261 in result.r_peaks) == found
+            assert (tag in result.provenance) == found
 
     def test_spike_recovery_low_bar(self):
         # two strong beats, then only small humps: threshold3 stays out of
@@ -373,6 +469,64 @@ class TestDecisionLoop:
                                                             VIA_THRESHOLD1]
         assert result.rejected == [(261, REJECT_BELOW)]
 
+    @pytest.mark.parametrize("beats,offset", [(4, 36), (9, 50)])
+    def test_twave_windows_exclude_their_end(self, beats, offset):
+        # A flat hump 360 ms after a beat (4 beats, no rr_mean yet), or at
+        # exactly 0.5 * rr_mean (9 beats, rr_mean 100), faces no slope test:
+        # both T-wave windows are open at their end
+        integ = np.zeros(1000)
+        apices = list(range(25, 25 + 100 * beats, 100))
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, apices[-1] + offset, 0.5, half_width=40)
+        result = ptpp.detect(make_stages(integ), FS)
+        np.testing.assert_array_equal(result.r_peaks,
+                                      apices + [apices[-1] + offset])
+
+    def test_slope_equal_to_the_ratio_passes(self):
+        # Mean slopes over the 7-sample window: 35 / 7 = 5.0 for the beat at
+        # 125 and 21 / 7 = 3.0 for the candidate 30 samples later; 3.0 is
+        # exactly 0.6 * 5.0, which is not below it
+        integ = np.zeros(300)
+        filt = np.zeros(300)
+        for a in (25, 125, 155):
+            add_triangle(integ, a, 1.0)
+        filt[[25, 125, 155]] = [35.0, 35.0, 21.0]
+        result = ptpp.detect(make_stages(integ, filt), FS)
+        np.testing.assert_array_equal(result.r_peaks, [25, 125, 155])
+
+    def test_slope_before_the_stage_delay_reads_sample_0(self):
+        # Both beats lie within the 50 samples the later stages delay the
+        # integrated signal, so both slopes are read at band-passed sample 0
+        # (0.0 each) and the second beat is no T-wave
+        integ = np.zeros(300)
+        for a in (10, 40):
+            add_triangle(integ, a, 1.0)
+        filt = np.zeros(300)
+        filt[1] = 0.5
+        z = np.zeros(300)
+        stages = ptpp.StageOutputs(
+            filtered=filt, derived=z, squared=z, smoothed=z,
+            integrated=integ,
+            stage_delays_samples={**zero_delays(), "square": 50})
+        result = ptpp.detect(stages, FS)
+        np.testing.assert_array_equal(result.r_peaks, [10, 40])
+
+    def test_slow_rhythm_never_halves(self):
+        # RR 38 after eight RRs of 400 is below 0.1 * rr_mean, yet the
+        # Pan-Tompkins++ halving band (0, inf) holds every RR
+        integ = np.zeros(3400)
+        apices = list(range(25, 3300, 400)) + [3263]
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        trace: list = []
+        result = ptpp.detect(make_stages(integ), FS, trace=trace)
+        np.testing.assert_array_equal(result.r_peaks, apices)
+        for _, *states in trace:
+            for s_i in states:
+                assert s_i.threshold1 == pytest.approx(
+                    s_i.npk + 0.25 * (s_i.spk - s_i.npk), rel=1e-12)
+
     def test_no_candidates_empty_result(self):
         result = ptpp.detect(make_stages(np.zeros(300)), FS)
         assert len(result.r_peaks) == 0
@@ -382,6 +536,11 @@ class TestDecisionLoop:
     def test_too_short_for_init(self):
         with pytest.raises(ptpp.InputTooShortError):
             ptpp.detect(make_stages(np.zeros(150)), FS)
+
+    def test_invalid_config_rejected(self):
+        cfg = ptpp.DetectorConfig(min_peak_separation_ms=-1)
+        with pytest.raises(ptpp.ConfigError):
+            ptpp.detect(make_stages(np.zeros(300)), FS, cfg)
 
     def test_threshold_coupling_throughout(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=20.0,
@@ -464,6 +623,21 @@ class TestLocalize:
                                    zero_delays(), FS)
         assert len(out) == 0
 
+    def test_empty_record(self):
+        out = ptpp.localize_rpeaks(np.zeros(0), self._result([5]),
+                                   zero_delays(), FS)
+        assert out.dtype == np.int64 and len(out) == 0
+
+    def test_collapse_keeps_the_first_detection(self):
+        raw = np.zeros(300)
+        add_triangle(raw, 100, 1.0)
+        add_triangle(raw, 200, 1.0)
+        sources: list[int] = []
+        out = ptpp.localize_rpeaks(raw, self._result([96, 100, 104, 200]),
+                                   zero_delays(), FS, sources=sources)
+        np.testing.assert_array_equal(out, [100, 200])
+        assert sources == [0, 3]
+
     @hypothesis.settings(deadline=None)
     @hypothesis.given(
         # Sparse arrays of few distinct levels make ties common, all-zero
@@ -495,6 +669,15 @@ class TestLocalize:
         run = ptpp.run_detector("ptpp", record.channels[0].samples, 360.0)
         assert len(run.r_peaks) == len(truth.beat_samples)
         assert np.max(np.abs(run.r_peaks - truth.beat_samples)) <= 2
+
+
+class TestSamples:
+    def test_rounds_halves_up(self):
+        assert _samples(2.5, 1.0) == 3
+        assert _samples(2.45, 1.0) == 2
+
+    def test_inf_stays_inf(self):
+        assert _samples(math.inf, 100.0) == math.inf
 
 
 class TestBandAmplitude:
@@ -543,6 +726,22 @@ class TestBandAmplitude:
         [(i, _, band_state)] = trace
         assert i == 300
         assert band_state.spk == 0.125 * 3.0
+
+    def test_no_delay_table_means_no_delay(self):
+        # Two band-passed peaks sit on the window's edges, 8 samples before
+        # 125 and after 225: a window off by one sample misses one of them.
+        integ = np.zeros(400)
+        filt = np.zeros(400)
+        for a in (25, 125, 225, 325):
+            add_triangle(integ, a, 1.0)
+        w = ptpp.ms_to_samples(75.0, FS)
+        filt[[25, 125 - w, 225 + w, 325]] = 1.0
+        z = np.zeros(400)
+        stages = ptpp.StageOutputs(filtered=filt, derived=z, squared=z,
+                                   smoothed=z, integrated=integ)
+        result = ptpp.detect(stages, FS)
+        np.testing.assert_array_equal(result.r_peaks, [25, 125, 225, 325])
+        assert result.provenance == [VIA_THRESHOLD1] * 4
 
     def test_search_back_find_takes_its_own_window(self):
         # The hump at 320 has no band-passed counterpart, so it is rejected

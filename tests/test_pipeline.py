@@ -64,11 +64,49 @@ class TestMsToSamples:
         assert ptpp.ms_to_samples(0.1, FS) == 1
         assert ptpp.ms_to_samples(0.1, FS, minimum=5) == 5
 
+    def test_rounds_halves_up(self):
+        assert ptpp.ms_to_samples(2500.0, 1.0) == 3
+        assert ptpp.ms_to_samples(2450.0, 1.0) == 2
+
+    def test_count_too_large_for_a_float(self):
+        with pytest.raises(ptpp.ConfigError, match="too many samples"):
+            ptpp.ms_to_samples(1e308, 1e308)
+
     @hypothesis.given(ms=st.floats(0.001, 1000), fs=st.floats(1, 5000))
     def test_at_least_minimum_and_monotone(self, ms, fs):
         n = ptpp.ms_to_samples(ms, fs)
         assert n >= 1
         assert ptpp.ms_to_samples(2 * ms, fs) >= n
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.inf, math.nan])
+    def test_sampling_rate_refused(self, fs):
+        with pytest.raises(ptpp.ConfigError, match="sampling rate"):
+            ptpp.PipelineConfig().validate(fs)
+
+    @pytest.mark.parametrize("fields,fs,message", [
+        (dict(band_low_hz=0.0), FS, "band edges"),
+        (dict(band_low_hz=-0.5), FS, "band edges"),
+        (dict(band_low_hz=10.0, band_high_hz=10.0), FS, "band edges"),
+        # 2 * low / fs, as the design computes it, underflows to 0
+        (dict(band_low_hz=5e-324, band_high_hz=1.0), 4.0, "is 0 at"),
+        (dict(band_high_hz=180.0), FS, "Nyquist"),
+        (dict(filter_order=0), FS, "filter_order"),
+        (dict(smooth_window_ms=0.0), FS, "window durations"),
+        (dict(mwi_window_ms=math.inf), FS, "window durations"),
+    ])
+    def test_refused(self, fields, fs, message):
+        with pytest.raises(ptpp.ConfigError, match=message):
+            ptpp.PipelineConfig(**fields).validate(fs)
+
+    @pytest.mark.parametrize("fields,fs", [
+        (dict(band_low_hz=0.1, band_high_hz=0.2), 1.0),
+        (dict(band_low_hz=5e-324, band_high_hz=0.5), 2.0),
+        (dict(smooth_window_ms=0.5), FS),
+    ])
+    def test_accepted(self, fields, fs):
+        ptpp.PipelineConfig(**fields).validate(fs)
 
 
 class TestBandpass:
@@ -121,6 +159,11 @@ class TestBandpass:
 
     def test_length_preserved(self):
         assert len(ptpp.bandpass(np.ones(777), FS, self.CFG)) == 777
+
+    def test_record_as_long_as_a_whole_sample_delay_runs(self):
+        with mock.patch.object(ptpp.pipeline, "_sos_group_delay",
+                               return_value=100.0):
+            assert len(ptpp.bandpass(np.zeros(100), FS, self.CFG)) == 100
 
     @pytest.mark.parametrize("fs,low,high,refused", [
         (1000.0, 5.0, 18.0, False), (FS, 17.99, 18.0, True),
@@ -299,6 +342,7 @@ class TestSmooth:
     def test_kernel_longer_than_signal(self):
         with pytest.raises(ptpp.InputTooShortError):
             ptpp.smooth(np.zeros(10), 22)
+        assert len(ptpp.smooth(np.zeros(22), 22)) == 22
 
     def test_noise_variance_reduced(self):
         for seed in range(5):
@@ -399,6 +443,20 @@ class TestRunPipeline:
         assert d["smooth"] == 10   # (22 - 1) // 2
         assert d["mwi"] == 26      # (54 - 1) // 2
         assert 0 < d["bandpass"] < 40
+
+    @pytest.mark.parametrize("fs,smooth,mwi", [(100.0, 2, 7), (120.0, 3, 8)])
+    def test_delay_map_at_low_rates(self, fs, smooth, mwi):
+        # The 10 Hz band-pass delay reads 4.53 (100 Hz) and 5.49 (120 Hz)
+        # samples; 6 and 7 smoothing samples, 15 and 18 MWI samples
+        d = ptpp.run_pipeline(np.zeros(1000), fs).stage_delays_samples
+        assert (d["bandpass"], d["smooth"], d["mwi"]) == (5, smooth, mwi)
+
+    def test_one_sample_mwi(self):
+        # 1 ms at 360 Hz rounds to 0 samples; the window floor is 1
+        out = ptpp.run_pipeline(np.random.default_rng(0).normal(size=1000), FS,
+                                ptpp.PipelineConfig(mwi_window_ms=1.0))
+        np.testing.assert_array_equal(out.integrated, out.smoothed)
+        assert out.stage_delays_samples["mwi"] == 0
 
     def test_smoothing_window_checked_before_kernel(self, monkeypatch):
         def no_kernel(width):
