@@ -118,7 +118,7 @@ class _Collector(ast.NodeVisitor):
         self._visit_body(node.body, in_function=True)
         self.scope.pop()
 
-    visit_FunctionDef = visit_AsyncFunctionDef = _visit_def
+    visit_FunctionDef = _visit_def
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self.scope.append(node.name)
@@ -133,8 +133,7 @@ class _Collector(ast.NodeVisitor):
             if k == 0 and _is_docstring(stmt):
                 continue
             if in_function and not isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                           ast.ClassDef, ast.Pass)):
+                    stmt, (ast.FunctionDef, ast.ClassDef, ast.Pass)):
                 self.add(stmt, "delete", "pass")
             self.visit(stmt)
 
