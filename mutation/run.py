@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python mutation/run.py [--jobs 2] [--files detector.py ...]
+    python mutation/run.py [--jobs 2]
 
 Each mutant is one small edit to one of ``src/ptpp/detector.py``,
 ``baseline.py`` or ``pipeline.py``:
@@ -258,11 +258,6 @@ def _one_line(text: str) -> str:
     return re.sub(r"\s+", " ", text)
 
 
-def _limit_memory() -> None:
-    resource.setrlimit(resource.RLIMIT_AS,
-                       (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
-
-
 def _pytest(copy: Path, tests: list[str]) -> tuple[bool, str]:
     """(passed, first failing test id or "" / "timeout")."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
@@ -272,7 +267,7 @@ def _pytest(copy: Path, tests: list[str]) -> tuple[bool, str]:
     try:
         proc = subprocess.run(PYTEST + tests, cwd=copy, env=env,
                               capture_output=True, text=True,
-                              timeout=TIMEOUT_S, preexec_fn=_limit_memory)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, "timeout"
     if proc.returncode == 0:
@@ -309,8 +304,8 @@ def _copy_checkout(dest: Path) -> Path:
     return dest
 
 
-def _report(results: list[tuple[Mutant, str]], verdicts: dict[str, str],
-            files: list[str]) -> str:
+def _report(results: list[tuple[Mutant, str]],
+            verdicts: dict[str, str]) -> str:
     total = len(results)
     killed = sum(v != "survived" for _, v in results)
     by_op = Counter(m.op for m, _ in results)
@@ -318,7 +313,7 @@ def _report(results: list[tuple[Mutant, str]], verdicts: dict[str, str],
         "# Surviving mutants",
         "",
         "Written by `python mutation/run.py`; the edits are described in its",
-        f"docstring. Files: {', '.join(f'`src/ptpp/{f}`' for f in files)}.",
+        f"docstring. Files: {', '.join(f'`src/ptpp/{f}`' for f in FILES)}.",
         "",
         f"- Mutants: {total} ("
         + ", ".join(f"{op} {n}" for op, n in sorted(by_op.items())) + ").",
@@ -349,31 +344,17 @@ def _report(results: list[tuple[Mutant, str]], verdicts: dict[str, str],
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--files", nargs="+", default=list(FILES),
-                        choices=FILES)
     parser.add_argument("--jobs", type=int, default=1,
                         help="test runs at once (default 1)")
-    parser.add_argument("--list", action="store_true",
-                        help="print the mutants' keys and run nothing")
-    parser.add_argument("--out", type=Path, default=HERE / "SURVIVORS.md")
-    parser.add_argument("--json", type=Path,
-                        help="also write every mutant's verdict here")
-    parser.add_argument("--resume", type=Path, metavar="JSON",
-                        help="keep the fast subset's kills recorded in an "
-                             "earlier --json file and run only the other "
-                             "mutants; valid while tests have only been "
-                             "added since")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    # Set before any thread starts; every test run inherits it.
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
 
-    sources = {f: (ROOT / "src" / "ptpp" / f).read_bytes() for f in args.files}
-    mutants = [m for f in args.files for m in generate(sources[f].decode(), f)]
-    if args.list:
-        print("\n".join(m.key for m in mutants))
-        return 0
-    earlier = json.loads(args.resume.read_text()) if args.resume else {}
-
+    sources = {f: (ROOT / "src" / "ptpp" / f).read_bytes() for f in FILES}
+    mutants = [m for f in FILES for m in generate(sources[f].decode(), f)]
     with tempfile.TemporaryDirectory(prefix="ptpp-mutation-") as tmp:
         copies: queue.Queue = queue.Queue()
         for k in range(args.jobs):
@@ -385,13 +366,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         results = []
         with ThreadPoolExecutor(args.jobs) as pool:
-            futures = [(m, earlier[m.key])
-                       if earlier.get(m.key, "").startswith("subset:")
-                       else pool.submit(_run_one, copies, sources, m)
+            futures = [pool.submit(_run_one, copies, sources, m)
                        for m in mutants]
             for n, future in enumerate(futures, 1):
-                mutant, verdict = (future if isinstance(future, tuple)
-                                   else future.result())
+                mutant, verdict = future.result()
                 results.append((mutant, verdict))
                 print(f"[{n}/{len(mutants)}] {verdict:<10.40} {mutant.key}",
                       flush=True)
@@ -399,15 +377,11 @@ def main(argv: list[str] | None = None) -> int:
     verdicts_path = HERE / "verdicts.json"
     verdicts = (json.loads(verdicts_path.read_text())
                 if verdicts_path.exists() else {})
-    args.out.write_text(_report(results, verdicts, args.files))
-    if args.json:
-        args.json.write_text(json.dumps(
-            {m.key: v for m, v in results}, indent=1) + "\n")
+    (HERE / "SURVIVORS.md").write_text(_report(results, verdicts))
     survived = sum(v == "survived" for _, v in results)
     print(f"{len(results) - survived}/{len(results)} killed; "
-          f"report in {args.out}")
+          f"report in {HERE / 'SURVIVORS.md'}")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

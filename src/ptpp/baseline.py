@@ -44,7 +44,7 @@ class PtConfig:
                 raise ConfigError(
                     f"{name} must be positive and finite, got {value}")
         for name in ("rr_low_frac", "rr_high_frac"):
-            if getattr(self, name) >= 2:  # positive and finite by now
+            if not 0 < getattr(self, name) < 2:
                 raise ConfigError(f"{name} must lie in (0, 2)")
         if self.rr_low_frac >= self.rr_high_frac:
             raise ConfigError("rr_low_frac must be below rr_high_frac")

@@ -116,7 +116,7 @@ class DetectorConfig:
             raise ConfigError("rr_history_beats must be >= 1")
         if self.rr_history_beats > sys.maxsize:  # a deque's largest maxlen
             raise ConfigError(f"rr_history_beats must be <= {sys.maxsize}")
-        if self.twave_slope_ratio >= 1:  # positive and finite by now
+        if not 0 < self.twave_slope_ratio < 1:
             raise ConfigError("twave_slope_ratio must lie in (0, 1)")
 
 
@@ -141,7 +141,7 @@ def find_candidates(integrated: np.ndarray, fs: float,
     # Any two maxima lie closer than len(x) + 1 samples, so a wider spacing
     # thins alike; clipping keeps the int64 sums below from overflowing.
     min_sep = min(ms_to_samples(cfg.min_peak_separation_ms, fs), len(x) + 1)
-    peaks = np.flatnonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:])) + 1
+    peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
     # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
     lo = np.searchsorted(peaks, peaks - (min_sep - 1))
     hi = np.searchsorted(peaks, peaks + min_sep)
@@ -408,8 +408,9 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     """Map integrated-coordinate detections back to raw-trace apex indices.
 
     Each detection is shifted left by the total causal delay of the pipeline
-    and snapped to the largest |raw| sample within ±75 ms. The output is
-    clipped to the record bounds and strictly increasing: detections that
+    and snapped to the largest |raw| sample within ±75 ms. The detections
+    must be sorted, as ``detect`` and ``detect_pt`` return them; the output
+    is clipped to the record bounds and strictly increasing: detections that
     snap onto one apex collapse into the first of them, which keeps its tag.
 
     ``sources``, when given a list, receives for each returned peak the
