@@ -2,8 +2,18 @@
 one replaces exactly its own span."""
 
 import ast
+import importlib.util
+import sys
+from pathlib import Path
 
-import run
+# Loaded by file path under its own name: perfbench/ holds a run.py too,
+# and a bare ``import run`` takes whichever directory is first on sys.path.
+# The module goes into sys.modules before it runs, as dataclasses need.
+_SPEC = importlib.util.spec_from_file_location(
+    "mutation_run", Path(__file__).resolve().parent.parent / "run.py")
+run = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = run
+_SPEC.loader.exec_module(run)
 
 TOY = '''"""Toy module: docstrings, imports and f-strings get no mutant."""
 import math

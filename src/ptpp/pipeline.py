@@ -130,18 +130,36 @@ def bandpass(samples: np.ndarray, fs: float, config: PipelineConfig) -> np.ndarr
     return _bandpass(samples, fs, config)[0]
 
 
+def _five_point(xp: np.ndarray, out: np.ndarray, scale: float) -> None:
+    # out[i] = (-xp[i] - 2xp[i+1] + 2xp[i+3] + xp[i+4]) * scale, in place
+    # with one temporary, each operation in the order the expression reads
+    # so every sample rounds exactly as the whole-array formula did.
+    np.negative(xp[:-4], out=out)
+    tmp = np.multiply(xp[1:-3], 2.0)
+    out -= tmp
+    np.multiply(xp[3:-1], 2.0, out=tmp)
+    out += tmp
+    out += xp[4:]
+    out *= scale
+
+
 def derivative(samples: np.ndarray, fs: float) -> np.ndarray:
     """Five-point derivative y(n) = (-x(n-2) - 2x(n-1) + 2x(n+1) + x(n+2)) / (8T).
 
     Boundary samples are handled by edge replication, so an interior linear
-    ramp comes out exactly constant.
+    ramp comes out exactly constant. Only the two samples at each end read
+    a replicated copy, built from four samples rather than the whole input.
     """
     x = np.asarray(samples, dtype=np.float64)
     if len(x) < 5:
         raise InputTooShortError(
             f"derivative needs at least 5 samples, got {len(x)}")
-    xp = np.pad(x, 2, mode="edge")
-    return (-xp[:-4] - 2.0 * xp[1:-3] + 2.0 * xp[3:-1] + xp[4:]) * (fs / 8.0)
+    y = np.empty(len(x))
+    scale = fs / 8.0
+    _five_point(x, y[2:-2], scale)
+    _five_point(np.pad(x[:4], (2, 0), mode="edge"), y[:2], scale)
+    _five_point(np.pad(x[-4:], (0, 2), mode="edge"), y[-2:], scale)
+    return y
 
 
 def square(samples: np.ndarray) -> np.ndarray:
@@ -200,30 +218,43 @@ def mwi(samples: np.ndarray, window_samples: int) -> np.ndarray:
 
 
 def run_pipeline(samples: np.ndarray, fs: float,
-                 config: PipelineConfig | None = None) -> StageOutputs:
+                 config: PipelineConfig | None = None, *,
+                 intermediates: bool = True) -> StageOutputs:
     """Run all five stages on one channel and report per-stage delays.
 
     Delay bookkeeping: the band-pass delay is the filter's group delay
     measured at 10 Hz, the derivative stencil is symmetric (zero), and each
     trailing window of length N contributes (N - 1) // 2.
+
+    With ``intermediates=False`` the derivative, squared and smoothed
+    signals are each let go as soon as the next stage exists and come back
+    as empty arrays, so the run holds three record-lengths at its peak
+    rather than all five stages.
     """
     if config is None:
         config = PipelineConfig()
 
     filtered, sos = _bandpass(samples, fs, config)
     bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
+    released = np.empty(0)
 
     derived = derivative(filtered, fs)
     squared = square(derived)
+    if not intermediates:
+        derived = released
 
     smoothed, width = squared, 1  # the bypass: a one-sample window
     if config.smooth_enabled:
         width = ms_to_samples(config.smooth_window_ms, fs,
                               minimum=MIN_SMOOTH_SAMPLES)
         smoothed = smooth(squared, width)
+    if not intermediates:
+        squared = released
 
     mwi_width = ms_to_samples(config.mwi_window_ms, fs, minimum=1)
     integrated = mwi(smoothed, mwi_width)
+    if not intermediates:
+        smoothed = released
 
     delays = {
         "bandpass": bp_delay,

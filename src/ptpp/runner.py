@@ -38,13 +38,16 @@ def run_detector(detector: str, samples: np.ndarray, fs: float,
                  pt_cfg: PtConfig | None = None) -> DetectorRun:
     """Run one detector end to end on a single channel.
 
-    Each stage array is let go as soon as nothing needs it: the decision
-    layer reads only the band-passed and integrated signals, localization
-    only the delays. :func:`ptpp.run_pipeline` returns every stage.
+    Each stage array is let go as soon as nothing needs it: the pipeline
+    runs with ``intermediates=False``, so the derivative, squared and
+    smoothed signals die as the next stage is built; the decision layer
+    reads only the band-passed and integrated signals, localization only
+    the delays. At its peak a run holds about three record-lengths.
+    :func:`ptpp.run_pipeline` with its default returns every stage.
     """
     default_cfg = default_pipeline_config(detector)  # ConfigError if unknown
-    stages = run_pipeline(samples, fs, pipeline_cfg or default_cfg)
-    stages.derived = stages.squared = stages.smoothed = np.empty(0)
+    stages = run_pipeline(samples, fs, pipeline_cfg or default_cfg,
+                          intermediates=False)
     if detector == "ptpp":
         detection = detect(stages, fs, detector_cfg)
     else:

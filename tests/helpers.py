@@ -5,11 +5,11 @@ comparative detector tests and the acceptance suite, independent
 re-implementations of the WFDB byte formats (used as oracles against the
 parsers in :mod:`ptpp.io`), the loops that ``load_csv``, ``localize_rpeaks``,
 candidate thinning and the band-channel amplitude replaced (oracles for their
-vectorised forms), the full-copy convolution and WFDB decoders (oracles for
-their leaner forms), the per-row ``stages`` and ``save_csv`` writers
-(oracles for the block writer), the per-section scipy band-pass delay
-(oracle for its closed form), and the locator for the optional real-record
-spot check.
+vectorised forms), the full-copy convolution, derivative and WFDB decoders
+(oracles for their leaner forms), the per-row ``stages`` and ``save_csv``
+writers (oracles for the block writer), the per-section scipy band-pass
+delay (oracle for its closed form), and the locator for the optional
+real-record spot check.
 """
 
 from __future__ import annotations
@@ -276,8 +276,9 @@ def band_peak_reference(filtered, i: int, align: int, fs: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Full-copy reference implementations (oracles): the convolution and WFDB
-# decoders as they were before they stopped holding full-length copies.
+# Full-copy reference implementations (oracles): the convolution, the
+# derivative and the WFDB decoders as they were before they stopped holding
+# full-length copies.
 
 def causal_convolve_reference(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """``ptpp.pipeline._causal_convolve`` over a full-length padded copy."""
@@ -286,6 +287,13 @@ def causal_convolve_reference(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     k = len(kernel)
     padded = np.concatenate([np.full(k - 1, x[0]), x])
     return np.convolve(padded, kernel, mode="valid")
+
+
+def derivative_reference(samples: np.ndarray, fs: float) -> np.ndarray:
+    """``ptpp.derivative`` over a full-length edge-padded copy."""
+    x = np.asarray(samples, dtype=np.float64)
+    xp = np.pad(x, 2, mode="edge")
+    return (-xp[:-4] - 2.0 * xp[1:-3] + 2.0 * xp[3:-1] + xp[4:]) * (fs / 8.0)
 
 
 def sos_group_delay_reference(sos: np.ndarray, fs: float,

@@ -764,19 +764,35 @@ class TestBandAmplitude:
         assert band[420] == expected
 
 
+def _traced_peak(run, x):
+    """Peak bytes ``run(x)`` allocates beyond what is live when it starts."""
+    run(x[:3600])  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(x)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestRunDetectorMemory:
-    @pytest.mark.parametrize("detector", ptpp.DETECTORS)
-    def test_peak_within_five_and_a_quarter_records(self, detector):
-        # The pipeline's five stages at their peak, with no full-length
-        # padded copy and no stage outliving the layer that reads it.
+    @pytest.fixture(scope="class")
+    def x(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=600.0, seed=3))
-        x = record.channels[0].samples
-        ptpp.run_detector(detector, x[:3600], 360.0)  # first-call caches
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            ptpp.run_detector(detector, x, 360.0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        return record.channels[0].samples
+
+    @pytest.mark.parametrize("detector", ptpp.DETECTORS)
+    def test_peak_within_three_and_a_quarter_records(self, detector, x):
+        # Three stage arrays at once: the band-passed signal, the working
+        # stage and the next one (the derivative's temporary, a convolution
+        # output); no full-length padded copy, no stage outliving its reader.
+        peak = _traced_peak(lambda s: ptpp.run_detector(detector, s, 360.0),
+                            x)
+        assert peak <= 3.25 * x.nbytes
+
+    def test_pipeline_with_every_stage_within_five_and_a_quarter_records(
+            self, x):
+        # The default keeps all five stages for ``stages``; nothing more.
+        peak = _traced_peak(lambda s: ptpp.run_pipeline(s, 360.0), x)
         assert peak <= 5.25 * x.nbytes

@@ -1,6 +1,7 @@
 """Preprocessing stage tests: exact stencil arithmetic, window shapes,
 frequency response, delay bookkeeping, and linearity properties."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -19,7 +20,8 @@ from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
                            MIN_SMOOTH_SAMPLES, _causal_convolve, _design_sos,
                            _sos_group_delay)
 
-from helpers import causal_convolve_reference, sos_group_delay_reference
+from helpers import (causal_convolve_reference, derivative_reference,
+                     sos_group_delay_reference)
 
 FS = 360.0
 
@@ -285,6 +287,36 @@ class TestDerivative:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-3)
 
 
+# Magnitudes across the float range, signed zeros included; the stencil's
+# sums and the largest fs / 8 stay far below overflow.
+wide_signals = hnp.arrays(
+    np.float64,
+    st.integers(min_value=5, max_value=64),
+    elements=(st.floats(min_value=1e-300, max_value=1e300)
+              | st.floats(min_value=-1e300, max_value=-1e-300)
+              | st.sampled_from([0.0, -0.0])),
+)
+DERIVATIVE_RATES = (128.0, 250.0, 257.3, 360.0, 1000.0)
+
+
+class TestDerivativeReference:
+    """The sliced derivative equals the edge-padded full copy it replaced,
+    byte for byte (so signed zeros too)."""
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(x=wide_signals, fs=st.sampled_from(DERIVATIVE_RATES))
+    def test_matches_padded_reference(self, x, fs):
+        got = ptpp.derivative(x, fs)
+        assert got.tobytes() == derivative_reference(x, fs).tobytes()
+
+    def test_ten_minute_record(self):
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=600.0, seed=3))
+        x = record.channels[0].samples
+        for fs in DERIVATIVE_RATES:
+            assert (ptpp.derivative(x, fs).tobytes()
+                    == derivative_reference(x, fs).tobytes())
+
+
 class TestSquare:
     def test_pointwise(self):
         np.testing.assert_array_equal(ptpp.square(np.array([-2.0, 0.0, 3.0])),
@@ -492,6 +524,24 @@ class TestRunPipeline:
                                 FS, cfg)
         np.testing.assert_array_equal(out.smoothed, out.squared)
         assert out.stage_delays_samples["smooth"] == 0
+
+    @pytest.mark.parametrize("smooth_enabled", [True, False],
+                             ids=["smooth", "bypass"])
+    @pytest.mark.parametrize("detector", ptpp.DETECTORS)
+    def test_without_intermediates_same_chain(self, detector, smooth_enabled):
+        cfg = dataclasses.replace(ptpp.default_pipeline_config(detector),
+                                  smooth_enabled=smooth_enabled)
+        x = np.random.default_rng(7).normal(size=3000)
+        full = ptpp.run_pipeline(x, FS, cfg)
+        lean = ptpp.run_pipeline(x, FS, cfg, intermediates=False)
+        assert lean.filtered.tobytes() == full.filtered.tobytes()
+        assert lean.integrated.tobytes() == full.integrated.tobytes()
+        assert (list(lean.stage_delays_samples.items())
+                == list(full.stage_delays_samples.items()))
+        for stage in (lean.derived, lean.squared, lean.smoothed):
+            assert stage.shape == (0,)
+        for stage in (full.derived, full.squared, full.smoothed):
+            assert len(stage) == len(x)
 
     def test_deterministic(self):
         x = np.random.default_rng(2).normal(size=2000)
