@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, InputTooShortError, ProcessingError
 from .pipeline import StageOutputs, ms_to_samples
@@ -30,7 +29,7 @@ from .pipeline import StageOutputs, ms_to_samples
 # Half-width of the window used both to pair a candidate with its band-passed
 # amplitude and to re-localize accepted beats on the raw trace.
 LOCALIZE_HALF_WINDOW_S = 0.075
-# Bytes of windows that _window_argmax copies out at once.
+# Bytes of windows and their indices that _window_argmax gathers at once.
 _LOCALIZE_BLOCK_BYTES = 1 << 16
 
 # Provenance tags / rejection reasons used in DetectionResult.
@@ -227,24 +226,20 @@ class _Policy:
     insert_rule: Callable[[ThresholdState, float], None]  # adapts to a find
 
 
-def _padded_abs(x: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """|x| with w samples of -inf on each side, so every centre gets a full
-    window that the pad never wins, and the |x| view inside it."""
-    padded = np.full(len(x) + 2 * w, -np.inf)
-    return padded, np.abs(x, out=padded[w:-w])
-
-
-def _window_argmax(padded: np.ndarray, w: int, centres) -> np.ndarray:
-    """Index of the first maximum within ±w of each centre, in the unpadded
-    signal's coordinates (centres are clipped to it); windows are copied
-    out in blocks of at most _LOCALIZE_BLOCK_BYTES."""
-    centres = np.clip(centres, 0, len(padded) - 2 * w - 1)
-    windows = sliding_window_view(padded, 2 * w + 1)  # windows[c] is c ± w
-    block = max(1, _LOCALIZE_BLOCK_BYTES // windows.itemsize // (2 * w + 1))
+def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
+    """Index of the first maximum of absx within ±w of each (clipped) centre.
+    Windows cut at a record end repeat the end sample, which wins only there."""
+    last = len(absx) - 1
+    centres = np.clip(centres, 0, last)
+    offsets = np.arange(-w, w + 1)
+    block = max(1, _LOCALIZE_BLOCK_BYTES // (absx.itemsize + offsets.itemsize)
+                // len(offsets))
     out = np.empty(len(centres), dtype=np.int64)
     for i in range(0, len(centres), block):
-        c = centres[i:i + block]
-        out[i:i + block] = c - w + np.argmax(windows[c], axis=1)
+        idx = centres[i:i + block, None] + offsets
+        np.clip(idx, 0, last, out=idx)
+        out[i:i + block] = idx[np.arange(len(idx)),
+                               np.argmax(absx[idx], axis=1)]
     return out
 
 
@@ -267,7 +262,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
     if p.band_channel:
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-        padded, abs_filt = _padded_abs(filt, half_win)
+        abs_filt = np.abs(filt)
         levels.append(init_thresholds(abs_filt, fs, cfg, p.t2_ratio))
     lead = levels[0]
 
@@ -275,7 +270,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         # Band channel, if any: max |band-passed| within ±75 ms of idx - align.
         if not p.band_channel:
             return []
-        return [abs_filt[_window_argmax(padded, half_win, idx - align)]]
+        return [abs_filt[_window_argmax(abs_filt, half_win, idx - align)]]
     band = band_peaks(candidates)
 
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
@@ -416,13 +411,12 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     ``sources``, when given a list, receives for each returned peak the
     index into ``detections`` of the detection it came from.
     """
-    raw = np.asarray(raw, dtype=np.float64)
     if len(raw) == 0 or len(detections.r_peaks) == 0:
         return np.empty(0, dtype=np.int64)
     total_delay = sum(stage_delays.values())
     w = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
     # Sorted centres with equal windows snap to non-decreasing apexes.
-    mapped = _window_argmax(_padded_abs(raw, w)[0], w, np.asarray(
+    mapped = _window_argmax(np.abs(raw, dtype=np.float64), w, np.asarray(
         detections.r_peaks, dtype=np.int64) - total_delay)
     kept = np.flatnonzero(np.diff(mapped, prepend=-1))
     if sources is not None:

@@ -317,6 +317,24 @@ class TestDetectCommand:
                      "-o", str(tmp_path / "o.csv")]) == 2
         assert "detector.bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args,code,message", [
+        (["{csv}", "--set", "foo.bar=1"], 2,
+         "unknown config section in 'foo.bar'"),
+        (["{csv}", "--set", "foo"], 2, "--set expects key=value, got 'foo'"),
+        (["{json}"], 3, "cannot infer record format from 'r.json'"),
+        (["{csv}", "--channel", "3"], 2, "channel index 3 out of range"),
+    ], ids=["unknown-section", "no-equals", "unknown-suffix", "channel"])
+    def test_refusal_names_its_cause(self, clean, tmp_path, capsys, args,
+                                     code, message):
+        record = tmp_path / "r.json"
+        record.write_text("1\n2\n")
+        out = tmp_path / "out.csv"
+        argv = [a.format(csv=clean["csv"], json=record) for a in args]
+        assert main(["detect", *argv, "-o", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_config_value_rejected(self, clean, tmp_path):
         assert main(["detect", clean["csv"],
                      "--set", "detector.rr_history_beats=abc",
@@ -584,10 +602,20 @@ class TestStagesCommand:
         _, rows = read_csv(out)
         assert [r[4] for r in rows] == [r[5] for r in rows]
 
+    @pytest.mark.parametrize("word", ["on", "true", "1", "yes", "On"])
+    def test_smoothing_switched_on_by_word(self, clean, tmp_path, word):
+        out = tmp_path / "stages.csv"
+        assert main(["stages", clean["csv"], "--fs", "360", "--detector", "pt",
+                     "--set", f"pipeline.smooth_enabled={word}",
+                     "-o", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert [r[4] for r in rows] != [r[5] for r in rows]
+
+    @pytest.mark.parametrize("word", ["maybe", "2"])
     def test_smoothing_switch_takes_only_known_words(self, clean, tmp_path,
-                                                     capsys):
+                                                     capsys, word):
         assert main(["stages", clean["csv"], "--fs", "360",
-                     "--set", "pipeline.smooth_enabled=maybe",
+                     "--set", f"pipeline.smooth_enabled={word}",
                      "-o", str(tmp_path / "stages.csv")]) == 2
         assert ("bad value for 'pipeline.smooth_enabled'"
                 in capsys.readouterr().err)
@@ -720,6 +748,8 @@ class TestNumericInputs:
         (["detect", "{csv}", "--set", "pipeline.filter_order=250"], 2),
         (["stages", "{csv}", "--set", "pipeline.filter_order=250"], 2),
         (["detect", "{csv}", "--set", "pipeline.filter_order=249"], 2),
+        # A design that fits a float but whose filtered output drifts from it.
+        (["detect", "{csv}", "--set", "pipeline.filter_order=150"], 2),
         # Outputs that name an input.
         (["detect", "{rec}", "-o", "{rec}"], 2),
         (["stages", "{rec}", "-o", "{rec}"], 2),

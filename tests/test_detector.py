@@ -20,8 +20,8 @@ import pytest
 
 import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
-                           VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _padded_abs,
-                           _samples, _window_argmax)
+                           VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _samples,
+                           _window_argmax)
 
 from helpers import (band_peak_reference, localize_reference,
                      thinned_maxima_reference)
@@ -628,6 +628,13 @@ class TestLocalize:
                                    zero_delays(), FS)
         assert out.dtype == np.int64 and len(out) == 0
 
+    def test_integer_record_apex_at_its_most_negative_code(self):
+        # |int16 min| does not fit an int16; the apex is read in float64.
+        raw = np.zeros(100, dtype=np.int16)
+        raw[40], raw[50] = 1000, -32768
+        out = ptpp.localize_rpeaks(raw, self._result([45]), zero_delays(), FS)
+        np.testing.assert_array_equal(out, [50])
+
     def test_collapse_keeps_the_first_detection(self):
         raw = np.zeros(300)
         add_triangle(raw, 100, 1.0)
@@ -641,11 +648,12 @@ class TestLocalize:
     @hypothesis.settings(deadline=None)
     @hypothesis.given(
         # Sparse arrays of few distinct levels make ties common, all-zero
-        # windows included; NaN and inf must land where the loop's argmax
-        # put them.
+        # windows included; NaN and ±inf must land where the loop's argmax
+        # put them, and -0.0 ties with 0.0.
         raw=hnp.arrays(np.float64, st.integers(1, 400),
-                       elements=st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0,
-                                                 np.nan, np.inf]),
+                       elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0,
+                                                 -2.0, np.nan, np.inf,
+                                                 -np.inf]),
                        fill=st.just(0.0)),
         dets=st.lists(st.integers(-50, 500), max_size=40),
         delay=st.integers(0, 60),
@@ -681,14 +689,16 @@ class TestSamples:
 
 
 class TestBandAmplitude:
-    """The band channel's amplitudes, all taken in one blocked windowed max,
-    against the decision loop's original per-candidate slice max."""
+    """The band channel's amplitudes, all taken in one blocked windowed max
+    with windows cut at the record ends, against the decision loop's original
+    per-candidate slice max."""
 
     @hypothesis.settings(deadline=None)
     @hypothesis.given(
         filtered=hnp.arrays(np.float64, st.integers(1, 300),
-                            elements=st.sampled_from([0.0, 1.0, -1.0, 2.0,
-                                                      -2.0, np.nan]),
+                            elements=st.sampled_from([0.0, -0.0, 1.0, -1.0,
+                                                      2.0, -2.0, np.nan,
+                                                      np.inf, -np.inf]),
                             fill=st.just(0.0)),
         # Centres run past both record ends; the delay may exceed the record.
         idx=st.lists(st.integers(0, 700), max_size=30),
@@ -702,9 +712,9 @@ class TestBandAmplitude:
                                fs)
         with mock.patch.object(ptpp.detector, "_LOCALIZE_BLOCK_BYTES",
                                block_bytes):
-            padded, abs_filt = _padded_abs(filtered, w)
+            abs_filt = np.abs(filtered)
             out = abs_filt[_window_argmax(
-                padded, w, np.asarray(idx, dtype=np.int64) - align)]
+                abs_filt, w, np.asarray(idx, dtype=np.int64) - align)]
         expected = [band_peak_reference(filtered, i, align, fs) for i in idx]
         np.testing.assert_array_equal(out, np.asarray(expected, dtype=float))
 

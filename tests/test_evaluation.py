@@ -156,6 +156,10 @@ class TestSynthSpec:
         dict(heart_rate_bpm=260.5),
         dict(duration_s=0.0),
         dict(fs=-1.0),
+        dict(fs=-1.0, duration_s=-60.0),  # a positive sample count
+        dict(qrs_width_ms=0.0),
+        dict(t_wave_width_ms=-1.0),
+        dict(t_wave_delay_ms=0.0),
         dict(rr_jitter_frac=0.5),
     ])
     def test_validate_rejects(self, bad):
@@ -220,6 +224,19 @@ class TestSynthEcg:
         late = np.diff(t[t > 31.0])
         np.testing.assert_allclose(early, 1.0, rtol=1e-6)
         np.testing.assert_allclose(late, 0.5, rtol=1e-6)
+
+    def test_heart_rate_before_the_first_start(self):
+        # Beats before the schedule's first start take its first rate.
+        spec = ptpp.SynthSpec(duration_s=20.0,
+                              heart_rate_bpm=[[5.0, 60.0], [10.0, 120.0]])
+        t = ptpp.synth_ecg(spec)[1].beat_samples / spec.fs
+        np.testing.assert_allclose(np.diff(t[t < 9.0]), 1.0, rtol=1e-6)
+        np.testing.assert_allclose(np.diff(t[t > 11.0]), 0.5, rtol=1e-6)
+
+    def test_unvalidated_spec_refused(self):
+        with pytest.raises(ptpp.ConfigError,
+                           match="fs and duration_s must be positive"):
+            ptpp.synth_ecg(ptpp.SynthSpec(fs=-1.0, duration_s=-60.0))
 
     def test_amplitude_cycle_every_fourth_low(self):
         spec = ptpp.SynthSpec(duration_s=30.0, t_wave=False,

@@ -198,6 +198,37 @@ class TestBandpass:
                     f"Hz at fs=360.0 does not fit a float")):
                 ptpp.bandpass(np.zeros(1000), FS, cfg)
 
+    @staticmethod
+    def drift(sos, fs):
+        # Filtered rms of 60 s of white noise over the rms of the same noise
+        # put through the design's frequency response, past a 20 s settle.
+        x = np.random.default_rng(0).standard_normal(int(60 * fs))
+        _, h = scipy.signal.sosfreqz(sos, worN=np.fft.rfftfreq(len(x), 1 / fs),
+                                     fs=fs)
+        ref = np.fft.irfft(np.fft.rfft(x) * h, len(x))
+        y = scipy.signal.sosfilt(sos, x)
+        k = int(20 * fs)
+        return math.sqrt(np.mean(y[k:] ** 2) / np.mean(ref[k:] ** 2))
+
+    @pytest.mark.parametrize("fs", [128.0, 360.0, 1000.0])
+    @pytest.mark.parametrize("high", [18.0, 15.0])
+    def test_highest_order_keeps_to_its_design(self, fs, high):
+        sos = design(64, fs, 5.0, high)
+        assert self.drift(sos, fs) == pytest.approx(1.0, rel=0.05)
+
+    def test_drift_above_the_highest_order_shows(self):
+        sos = scipy.signal.butter(96, (5.0, 18.0), btype="bandpass", fs=128.0,
+                                  output="sos")
+        assert self.drift(sos, 128.0) > 1.05
+
+    @pytest.mark.parametrize("order", [65, 150, 240])
+    def test_order_above_the_highest_refused(self, order):
+        cfg = ptpp.PipelineConfig(filter_order=order)
+        with pytest.raises(ptpp.ConfigError, match=re.escape(
+                f"order-{order} Butterworth band-pass of (5.0, 18.0) Hz at "
+                f"fs=360.0 is above order 64")):
+            ptpp.bandpass(np.zeros(100_000), FS, cfg)
+
     def test_undefined_delay_refused(self):
         # The centre rounds to 0 Hz against poles rounded onto z = 1.
         cfg = ptpp.PipelineConfig(band_low_hz=1e-300)
