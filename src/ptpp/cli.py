@@ -257,8 +257,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     run = run_detector(args.detector, samples, fs,
                        **args.run_cfgs[args.detector])
     rows = []
-    for raw_index, tag in zip(run.r_peaks, run.provenance):
-        rows.append([int(raw_index), repr(float(raw_index / fs)), tag])
+    for raw_index, tag in zip(run.r_peaks.tolist(), run.provenance):
+        rows.append([raw_index, repr(raw_index / fs), tag])
     _write_csv(out, DETECTIONS_HEADER, rows)
     print(f"{len(rows)} detections -> {out}")
     return 0
@@ -330,14 +330,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         report = match_beats(peaks_a, other, fs, args.tolerance_ms)
         matched_a = {pair[1] for pair in report.matched_pairs}
         matched_b = {pair[0] for pair in report.matched_pairs}
-        for idx in peaks_a:
-            if int(idx) not in matched_a:
+        for idx in peaks_a.tolist():
+            if idx not in matched_a:
                 disagreement_rows.append(
-                    [rec_id, int(idx), repr(float(idx / fs)), "ptpp"])
-        for idx in peaks_b:
-            if int(idx) not in matched_b:
+                    [rec_id, idx, repr(idx / fs), "ptpp"])
+        for idx in peaks_b.tolist():
+            if idx not in matched_b:
                 disagreement_rows.append(
-                    [rec_id, int(idx), repr(float(idx / fs)), "pt"])
+                    [rec_id, idx, repr(idx / fs), "pt"])
     disagreement_rows.sort(key=lambda row: (row[0], row[1]))
     _write_csv(dis_out, ["record", "sample_index", "time_s", "present_in"],
                disagreement_rows)

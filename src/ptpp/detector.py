@@ -31,6 +31,12 @@ from .pipeline import StageOutputs, ms_to_samples
 LOCALIZE_HALF_WINDOW_S = 0.075
 # Bytes of windows and their indices that _window_argmax gathers at once.
 _LOCALIZE_BLOCK_BYTES = 1 << 16
+# Items the per-element loops read from an array as Python numbers at once.
+# A Python number indexes and compares faster than a numpy scalar, but each
+# is an object: on 24 10-min CSV records, 4096-item blocks raised peak RSS by
+# ~0.4 MB and whole-record lists by ~0.6 MB; on a 2-h record, whole lists made
+# it swing from 100 to 133 MB. 256-item blocks kept both at the scalar loop's.
+_BLOCK_ITEMS = 256
 
 # Provenance tags / rejection reasons used in DetectionResult.
 VIA_THRESHOLD1 = "threshold1"
@@ -144,13 +150,17 @@ def find_candidates(integrated: np.ndarray, fs: float,
     # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
     lo = np.searchsorted(peaks, peaks - (min_sep - 1))
     hi = np.searchsorted(peaks, peaks + min_sep)
-    marked = np.zeros(len(peaks), dtype=bool)
+    # free[m] is 1 until a kept maximum marks m; a bytearray reads as ints.
+    free = bytearray(b"\x01") * len(peaks)
     kept = np.zeros(len(peaks), dtype=bool)
-    # Not .tolist(): one Python int per maximum at once raised peak RSS.
-    for m in np.argsort(-x[peaks], kind="stable"):
-        if not marked[m]:
-            kept[m] = True
-            marked[lo[m]:hi[m]] = True
+    order = np.argsort(-x[peaks], kind="stable")
+    for start in range(0, len(order), _BLOCK_ITEMS):
+        block = order[start:start + _BLOCK_ITEMS]
+        for m, a, b in zip(block.tolist(), lo[block].tolist(),
+                           hi[block].tolist()):
+            if free[m]:
+                kept[m] = True
+                free[a:b] = bytes(b - a)
     return peaks[kept].astype(np.int64)
 
 
@@ -243,6 +253,18 @@ def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
     return out
 
 
+def _blocks(candidates: np.ndarray, integ: np.ndarray, band: list):
+    """Yield (k, candidates[k], [integ[candidates[k]], *(b[k] for b in
+    band)]) as Python numbers, converting _BLOCK_ITEMS of them at a time."""
+    for start in range(0, len(candidates), _BLOCK_ITEMS):
+        block = candidates[start:start + _BLOCK_ITEMS]
+        columns = [integ[block].tolist()] + [
+            b[start:start + _BLOCK_ITEMS].tolist() for b in band]
+        for k, i, *peaks in zip(range(start, start + len(block)),
+                                block.tolist(), *columns):
+            yield k, i, peaks
+
+
 def _samples(seconds: float, fs: float) -> float:
     # Rounds halves up. inf, a trigger switched off, stays inf, and so does
     # a count too large for a float: no record reaches it either.
@@ -284,30 +306,36 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     provenance: list[str] = []
     rejected: list[tuple[int, str]] = []
     rrs: deque[int] = deque(maxlen=cfg.rr_history_beats)
-
-    def mean_rr() -> float | None:
-        # Undefined until the ring is full: the relative RR rules wait for
-        # rr_history_beats intervals.
-        return sum(rrs) / len(rrs) if len(rrs) == rrs.maxlen else None
+    # Mean of the last rr_history_beats RR intervals, undefined until the
+    # ring is full: the relative RR rules wait for that many. The integer
+    # sum is exact, so the mean is the float sum(rrs) / len(rrs) gives.
+    rr_sum = 0
+    rr_mean: float | None = None
 
     def add_beat(j: int, tag: str) -> None:
+        nonlocal rr_sum, rr_mean
         if beat_idx:
-            rr, mean = j - beat_idx[-1], mean_rr()
+            rr, mean = j - beat_idx[-1], rr_mean
+            if len(rrs) == rrs.maxlen:
+                rr_sum -= rrs[0]
             rrs.append(rr)
+            rr_sum += rr
+            if len(rrs) == rrs.maxlen:
+                rr_mean = rr_sum / len(rrs)
             if mean is not None and not (low * mean <= rr <= high * mean):
                 for lv in levels:
                     lv.halve()
         beat_idx.append(j)
         provenance.append(tag)
 
-    for k, cand in enumerate(candidates):
-        i = int(cand)
-        peaks = [float(integ[i])] + [float(b[k]) for b in band]
+    for k, i, peaks in _blocks(candidates, integ, band):
         rr = (i - beat_idx[-1]) if beat_idx else None
-        rr_mean = mean_rr()
 
-        passes_amp = all(
-            peak > lv.threshold1 for peak, lv in zip(peaks, levels))
+        passes_amp = True
+        for peak, lv in zip(peaks, levels):
+            if not peak > lv.threshold1:
+                passes_amp = False
+                break
         is_twave = False
         if passes_amp and rr is not None and (
                 rr < tw_rr or (rr_mean is not None

@@ -65,9 +65,10 @@ def match_beats(detected: Sequence[int], reference: AnnotationSet, fs: float,
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < len(ref) and j < len(det):
-        delta = int(det[j]) - int(ref[i])
+        r, d = ref.item(i), det.item(j)
+        delta = d - r
         if abs(delta) <= tol:
-            pairs.append((int(ref[i]), int(det[j])))
+            pairs.append((r, d))
             i += 1
             j += 1
         elif delta < 0:

@@ -336,7 +336,9 @@ def _to_millivolts(raw: np.ndarray, header: HeaderInfo) -> Record:
     # already converted.
     channels = []
     for i, ch in enumerate(header.channels):
-        mv = (raw[:, i].astype(np.float64) - ch.baseline) / ch.gain
+        mv = raw[:, i].astype(np.float64)
+        mv -= ch.baseline
+        mv /= ch.gain
         channels.append(Channel(label=ch.label, samples=mv,
                                 gain=ch.gain, baseline=ch.baseline))
     return Record(sampling_rate_hz=header.sampling_rate_hz,
@@ -373,7 +375,8 @@ def decode_format212(data: bytes, header: HeaderInfo) -> Record:
     np.left_shift(buf[1::3] & 0xF0, 4, out=second, dtype=np.int32)
     second |= buf[2::3]
     flat = flat[:total]
-    flat[flat > 2047] -= 4096  # sign-extend from bit 11
+    flat <<= 20  # sign-extend from bit 11: move it to bit 31 and back
+    flat >>= 20
     return _to_millivolts(flat.reshape(header.n_samples, header.n_channels),
                           header)
 
@@ -458,18 +461,15 @@ def _load_plain_annotations(path: Path) -> AnnotationSet:
 
 def _load_atr_annotations(path: Path, beat_codes: dict[int, str]) -> AnnotationSet:
     data = path.read_bytes()
-    if len(data) % 2:
-        data = data[:-1]
-    words = np.frombuffer(data, dtype=np.uint8).reshape(-1, 2)
     indices: list[int] = []
     labels: list[str] = []
     time = 0
     pending_skip = 0
     unknown = 0
     i = 0
-    n = len(words)
+    n = len(data) // 2  # word i is data[2i:2i + 2]; an odd last byte is unread
     while i < n:
-        b0, b1 = int(words[i, 0]), int(words[i, 1])
+        b0, b1 = data[2 * i], data[2 * i + 1]
         code = b1 >> 2
         delta = b0 | ((b1 & 0x03) << 8)
         if code == 0 and delta == 0:  # end of annotation stream
@@ -477,8 +477,8 @@ def _load_atr_annotations(path: Path, beat_codes: dict[int, str]) -> AnnotationS
         if code == _SKIP:
             if i + 2 >= n:
                 raise ParseError(f"{path}: truncated skip interval at word {i}")
-            hi = int(words[i + 1, 0]) << 16 | int(words[i + 1, 1]) << 24
-            lo = int(words[i + 2, 0]) | int(words[i + 2, 1]) << 8
+            hi = data[2 * i + 2] << 16 | data[2 * i + 3] << 24
+            lo = data[2 * i + 4] | data[2 * i + 5] << 8
             value = hi | lo
             if value > 0x7FFFFFFF:
                 value -= 0x100000000

@@ -373,6 +373,102 @@ def decode_format16_reference(data: bytes,
     return _to_millivolts_reference(raw, header)
 
 
+def load_atr_reference(path: Path,
+                       beat_codes: dict[int, str]) -> ptpp.AnnotationSet:
+    """``ptpp.io._load_atr_annotations`` with its numpy word array read one
+    numpy scalar at a time."""
+    data = path.read_bytes()
+    if len(data) % 2:
+        data = data[:-1]
+    words = np.frombuffer(data, dtype=np.uint8).reshape(-1, 2)
+    indices: list[int] = []
+    labels: list[str] = []
+    time = 0
+    pending_skip = 0
+    unknown = 0
+    i = 0
+    n = len(words)
+    while i < n:
+        b0, b1 = int(words[i, 0]), int(words[i, 1])
+        code = b1 >> 2
+        delta = b0 | ((b1 & 0x03) << 8)
+        if code == 0 and delta == 0:  # end of annotation stream
+            break
+        if code == ptpp.io._SKIP:
+            if i + 2 >= n:
+                raise ptpp.ParseError(
+                    f"{path}: truncated skip interval at word {i}")
+            hi = int(words[i + 1, 0]) << 16 | int(words[i + 1, 1]) << 24
+            lo = int(words[i + 2, 0]) | int(words[i + 2, 1]) << 8
+            value = hi | lo
+            if value > 0x7FFFFFFF:
+                value -= 0x100000000
+            pending_skip += value
+            i += 3
+            continue
+        if code == ptpp.io._AUX:
+            i += 1 + (delta + 1) // 2  # aux text is padded to a whole word
+            continue
+        if code in (ptpp.io._NUM, ptpp.io._SUB, ptpp.io._CHAN):
+            i += 1
+            continue
+        time += pending_skip + delta
+        pending_skip = 0
+        if time < 0:
+            raise ptpp.ParseError(
+                f"{path}: annotation time went negative at word {i}")
+        if code in beat_codes:
+            if indices and time <= indices[-1]:
+                raise ptpp.ParseError(f"{path}: beat samples not strictly "
+                                      f"increasing at word {i}")
+            indices.append(time)
+            labels.append(beat_codes[code])
+        elif code not in ptpp.io._KNOWN_NONBEAT_CODES:
+            unknown += 1
+        i += 1
+    if unknown:
+        ptpp.io.logger.warning(
+            "%s: skipped %d annotation(s) with unknown type codes",
+            path, unknown)
+    return ptpp.AnnotationSet(beat_samples=np.asarray(indices, dtype=np.int64),
+                              beat_labels=labels, source_format="wfdb_atr")
+
+
+# ---------------------------------------------------------------------------
+# Beat matching.
+
+def match_beats_reference(detected, reference: ptpp.AnnotationSet, fs: float,
+                          tolerance_ms: float = 100.0,
+                          record_id: str = "") -> ptpp.MatchReport:
+    """``ptpp.match_beats`` reading each index as ``int(arr[i])``."""
+    if not 0 <= tolerance_ms < math.inf:  # rejects NaN too
+        raise ptpp.ConfigError(
+            f"tolerance must be finite and >= 0 ms, got {tolerance_ms}")
+    det = np.asarray(detected, dtype=np.int64)
+    ref = np.asarray(reference.beat_samples, dtype=np.int64)
+    if np.any(np.diff(det) < 0) or np.any(np.diff(ref) < 0):
+        raise ptpp.ProcessingError("match_beats requires sorted index lists")
+    # An integer distance is within floor(t) exactly when it is within t,
+    # and a float t cannot overflow the way int(t) can.
+    tol = tolerance_ms * fs / 1000.0 + 0.5
+    pairs: list[tuple[int, int]] = []
+    i = j = 0
+    while i < len(ref) and j < len(det):
+        delta = int(det[j]) - int(ref[i])
+        if abs(delta) <= tol:
+            pairs.append((int(ref[i]), int(det[j])))
+            i += 1
+            j += 1
+        elif delta < 0:
+            j += 1  # detection matches nothing -> FP
+        else:
+            i += 1  # reference got no detection -> FN
+    tp = len(pairs)
+    return ptpp.MatchReport(record_id=record_id, tp=tp, fp=len(det) - tp,
+                            fn=len(ref) - tp, matched_pairs=pairs,
+                            tolerance_ms=tolerance_ms)
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -139,11 +139,13 @@ class TestFindCandidates:
                        elements=st.floats(0, 100)),
             hnp.arrays(np.float64, st.integers(4, 200),
                        elements=st.floats(0, 100))),
-        min_sep=st.one_of(st.integers(1, 3), st.integers(4, 60)))
-    def test_matches_bisect_reference(self, x, min_sep):
+        min_sep=st.one_of(st.integers(1, 3), st.integers(4, 60)),
+        block=st.sampled_from([1, 3, ptpp.detector._BLOCK_ITEMS]))
+    def test_matches_bisect_reference(self, x, min_sep, block):
         # At 1000 Hz a spacing of min_sep ms is exactly min_sep samples.
         cfg = ptpp.DetectorConfig(min_peak_separation_ms=float(min_sep))
-        out = ptpp.find_candidates(x, 1000.0, cfg)
+        with mock.patch.object(ptpp.detector, "_BLOCK_ITEMS", block):
+            out = ptpp.find_candidates(x, 1000.0, cfg)
         np.testing.assert_array_equal(out, thinned_maxima_reference(x, min_sep))
         assert out.dtype == np.int64
 

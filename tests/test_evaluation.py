@@ -7,6 +7,8 @@ import pytest
 
 import ptpp
 
+from helpers import match_beats_reference
+
 FS = 360.0
 
 
@@ -84,6 +86,30 @@ class TestMatchBeats:
         narrow = ptpp.match_beats(det, annset(ref), FS, tolerance_ms=tol)
         wide = ptpp.match_beats(det, annset(ref), FS, tolerance_ms=2 * tol)
         assert wide.tp >= narrow.tp
+
+    # Small indices, and indices near +-2^62, where int64 differences of a
+    # negative and a positive index overflow; unsorted lists as well.
+    _index_lists = st.lists(
+        st.one_of(st.integers(-50, 400),
+                  st.integers(2 ** 62 - 400, 2 ** 62 + 400),
+                  st.integers(-2 ** 62 - 400, -2 ** 62 + 400)),
+        max_size=30)
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(det=st.one_of(_index_lists.map(sorted), _index_lists),
+                      ref=st.one_of(_index_lists.map(sorted), _index_lists),
+                      tol=st.sampled_from([0.0, 100.0, 1e6, -1.0, np.nan]),
+                      fs=st.sampled_from([FS, 1000.0]))
+    def test_matches_per_element_reference(self, det, ref, tol, fs):
+        det = np.asarray(det, dtype=np.int64)
+        outcomes = []
+        for match in (ptpp.match_beats, match_beats_reference):
+            try:
+                outcomes.append(match(det, annset(ref), fs, tolerance_ms=tol,
+                                      record_id="r"))
+            except ptpp.PtppError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 def report(tp, fp, fn, record_id="r"):

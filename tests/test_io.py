@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as st
@@ -26,8 +27,9 @@ from ptpp.io import BEAT_CODE_BY_SYMBOL
 
 from helpers import (AtrStream, atr_word, decode_format16_reference,
                      decode_format212_reference, encode212,
-                     load_csv_reference, make_header, save_csv_reference,
-                     sign_extend_12, stages_writer_reference)
+                     load_atr_reference, load_csv_reference, make_header,
+                     save_csv_reference, sign_extend_12,
+                     stages_writer_reference)
 
 GOLDEN_100_HEA = """\
 100 2 360 650000 0:0:0 0/0/0
@@ -811,6 +813,26 @@ N = BEAT_CODE_BY_SYMBOL["N"]
 V = BEAT_CODE_BY_SYMBOL["V"]
 
 
+@st.composite
+def atr_streams(draw):
+    """An AtrStream of beat, non-beat and unknown codes, SKIPs of either
+    sign, aux text and modifiers, terminated or not."""
+    stream = AtrStream()
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["ann", "skip", "aux", "modifier"]))
+        if kind == "ann":
+            stream.ann(draw(st.sampled_from([N, V, 5, 28, 45, 0])),
+                       draw(st.integers(0, 1023)))
+        elif kind == "skip":
+            stream.skip(draw(st.integers(-2 ** 31, 2 ** 31 - 1)))
+        elif kind == "aux":
+            stream.aux(draw(st.text("abc(", max_size=5)))
+        else:
+            stream.modifier(draw(st.sampled_from(["num", "sub", "chan"])),
+                            draw(st.integers(0, 1023)))
+    return stream.to_bytes(terminated=draw(st.booleans()))
+
+
 class TestAtrAnnotations:
     def _load(self, tmp_path, stream: AtrStream, **kwargs):
         p = tmp_path / "rec.atr"
@@ -886,6 +908,35 @@ class TestAtrAnnotations:
                       + atr_word(AtrStream.SKIP, 0))
         with pytest.raises(ptpp.ParseError, match="skip"):
             ptpp.load_annotations(p)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        data=st.one_of(
+            st.binary(max_size=96),
+            # Well-formed streams, cut anywhere: odd lengths and SKIP words
+            # missing their operands included.
+            st.tuples(atr_streams(), st.integers(0, 200)).map(
+                lambda s: s[0][:len(s[0]) - s[1]] if s[1] < len(s[0])
+                else s[0])),
+        symbols=st.sets(st.sampled_from(sorted(BEAT_CODE_BY_SYMBOL)),
+                        min_size=1))
+    def test_matches_per_word_reference(self, data, symbols):
+        beat_codes = {BEAT_CODE_BY_SYMBOL[s]: s for s in symbols}
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.atr"
+            path.write_bytes(data)
+            for load in (ptpp.io._load_atr_annotations, load_atr_reference):
+                with mock.patch.object(ptpp.io, "logger") as log:
+                    try:
+                        ann = load(path, beat_codes)
+                        outcome = (ann.beat_samples.tolist(),
+                                   ann.beat_samples.dtype, ann.beat_labels,
+                                   ann.source_format)
+                    except ptpp.PtppError as exc:
+                        outcome = (type(exc), str(exc))
+                outcomes.append((outcome, log.mock_calls))
+        assert outcomes[0] == outcomes[1]
 
     def test_format_override(self, tmp_path):
         p = tmp_path / "beats.bin"
