@@ -57,7 +57,7 @@ def match_beats(detected: Sequence[int], reference: AnnotationSet, fs: float,
             f"tolerance must be finite and >= 0 ms, got {tolerance_ms}")
     det = np.asarray(detected, dtype=np.int64)
     ref = np.asarray(reference.beat_samples, dtype=np.int64)
-    if np.any(np.diff(det) < 0) or np.any(np.diff(ref) < 0):
+    if np.any(det[1:] < det[:-1]) or np.any(ref[1:] < ref[:-1]):
         raise ProcessingError("match_beats requires sorted index lists")
     # An integer distance is within floor(t) exactly when it is within t,
     # and a float t cannot overflow the way int(t) can.

@@ -153,11 +153,13 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
     The first non-blank line is read by hand: it is a header when its last
     field is not a float, as in :func:`_parse_csv_lines`, and its field count
     is the count every line must have. The rest of the open file goes to one
-    ``np.loadtxt`` call, which parses each field with
+    ``np.loadtxt`` call that parses only the last field of each line, with
     ``PyOS_string_to_double``, the routine behind ``float()``, so a value it
-    reads has the same bytes. None means the per-line reader must decide:
-    numpy refused a line, the field count changed, or a sample is missing or
-    non-finite.
+    reads has the same bytes. numpy refuses a line with fewer fields but
+    skips extra ones, so the file must also hold exactly one comma fewer
+    than the field count per sample, besides the header's. None means the
+    per-line reader must decide: numpy refused a line, the field count
+    changed, or a sample is missing or non-finite.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
@@ -170,9 +172,10 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
             return None
         try:
             float(fields[-1])
-        except ValueError:
-            pass  # a header row: numpy reads on from the next line
+        except ValueError:  # a header row: numpy reads on from the next line
+            header_commas = len(fields) - 1
         else:
+            header_commas = 0
             fh.seek(0)
         try:
             with warnings.catch_warnings():
@@ -180,15 +183,24 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
                 # not something to warn about.
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data", UserWarning)
-                rows = np.loadtxt(fh, delimiter=",", comments=None,
-                                  dtype=np.float64, ndmin=2)
+                samples = np.loadtxt(fh, delimiter=",", comments=None,
+                                     dtype=np.float64,
+                                     usecols=len(fields) - 1, ndmin=1)
         except ValueError:
             return None
-    samples = rows[:, -1]
-    if (rows.shape[1] != len(fields) or not len(samples)
-            or not np.isfinite(samples).all()):
+    if (not len(samples) or not np.isfinite(samples).all()
+            or _count_commas(path)
+            != header_commas + (len(fields) - 1) * len(samples)):
         return None
-    return np.ascontiguousarray(samples)
+    return samples
+
+
+def _count_commas(path: Path) -> int:
+    """The commas in a file, read in fixed-size blocks so that the text is
+    never held whole."""
+    with open(path, "rb") as fh:
+        return sum(block.count(b",")
+                   for block in iter(lambda: fh.read(1 << 16), b""))
 
 
 def _parse_csv_lines(path: Path) -> np.ndarray:

@@ -56,6 +56,18 @@ class TestMatchBeats:
         with pytest.raises(ptpp.ProcessingError):
             ptpp.match_beats([10], annset([20, 10]), FS)
 
+    @pytest.mark.parametrize("match", [ptpp.match_beats, match_beats_reference],
+                             ids=["match_beats", "reference"])
+    def test_sorted_span_past_int64_accepted(self, match):
+        # The span is 2^63 + 2, which wraps negative as an int64 difference.
+        wide = [-2 ** 62 - 1, 2 ** 62 + 1]
+        r = match(wide, annset(wide), FS)
+        assert (r.tp, r.fp, r.fn) == (2, 0, 0)
+        with pytest.raises(ptpp.ProcessingError):
+            match(wide[::-1], annset(wide), FS)
+        with pytest.raises(ptpp.ProcessingError):
+            match(wide, annset(wide[::-1]), FS)
+
     def test_record_id_carried(self):
         r = ptpp.match_beats([1], annset([1]), FS, record_id="r42")
         assert r.record_id == "r42"
