@@ -110,7 +110,7 @@ class DetectorConfig:
 
     def validate(self) -> None:
         # "not > 0" also rejects NaN. inf is allowed only where it switches
-        # a trigger off; anywhere else it would be turned into samples.
+        # a trigger off; a finite duration may still be inf samples long.
         numeric = {k: v for k, v in vars(self).items() if k != "rr_history_beats"}
         for name, value in numeric.items():
             if not value > 0:
@@ -172,7 +172,7 @@ def init_thresholds(channel_signal: np.ndarray, fs: float,
     if cfg is None:
         cfg = DetectorConfig()
     x = np.asarray(channel_signal, dtype=np.float64)
-    n_init = max(1, _samples(cfg.init_window_s, fs))
+    n_init = ms_to_samples(cfg.init_window_s * 1000.0, fs)
     if len(x) < n_init:
         raise InputTooShortError(
             f"need {n_init} samples ({cfg.init_window_s} s at fs={fs}) to "
@@ -265,13 +265,6 @@ def _blocks(candidates: np.ndarray, integ: np.ndarray, band: list):
             yield k, i, peaks
 
 
-def _samples(seconds: float, fs: float) -> float:
-    # Rounds halves up. inf, a trigger switched off, stays inf, and so does
-    # a count too large for a float: no record reaches it either.
-    n = seconds * fs + 0.5
-    return n if math.isinf(n) else int(n)
-
-
 def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             cfg: DetectorConfig, policy: _Policy,
             trace: list | None) -> DetectionResult:
@@ -298,8 +291,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
     blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
-    sb_abs = _samples(cfg.searchback_abs_s, fs)
-    spike_gap = _samples(cfg.spike_recovery_s, fs)
+    sb_abs = ms_to_samples(cfg.searchback_abs_s * 1000.0, fs)
+    spike_gap = ms_to_samples(cfg.spike_recovery_s * 1000.0, fs)
     low, high = p.halve_band
 
     beat_idx: list[int] = []

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ProcessingError
 from .io import AnnotationSet, Channel, Record
+from .pipeline import ms_to_samples
 from .runner import run_detector
 
 Schedule = Union[float, Sequence]
@@ -55,13 +56,14 @@ def match_beats(detected: Sequence[int], reference: AnnotationSet, fs: float,
     if not 0 <= tolerance_ms < math.inf:  # rejects NaN too
         raise ConfigError(
             f"tolerance must be finite and >= 0 ms, got {tolerance_ms}")
+    if not 0 < fs < math.inf:
+        raise ConfigError(
+            f"sampling rate must be positive and finite, got {fs}")
     det = np.asarray(detected, dtype=np.int64)
     ref = np.asarray(reference.beat_samples, dtype=np.int64)
     if np.any(det[1:] < det[:-1]) or np.any(ref[1:] < ref[:-1]):
         raise ProcessingError("match_beats requires sorted index lists")
-    # An integer distance is within floor(t) exactly when it is within t,
-    # and a float t cannot overflow the way int(t) can.
-    tol = tolerance_ms * fs / 1000.0 + 0.5
+    tol = ms_to_samples(tolerance_ms, fs, minimum=0)
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < len(ref) and j < len(det):
@@ -144,7 +146,7 @@ class SynthSpec:
         return spec
 
     def _bpm_values(self) -> list[float]:
-        if isinstance(self.heart_rate_bpm, (int, float)):
+        if _is_number(self.heart_rate_bpm):
             return [float(self.heart_rate_bpm)]
         return [float(pair[1]) for pair in self.heart_rate_bpm]
 
@@ -154,7 +156,7 @@ class SynthSpec:
             has_shape, shape = _SPEC_SHAPES.get(name, (_is_number, "a number"))
             if not has_shape(value):
                 raise ConfigError(f"{name} must be {shape}, got {value!r}")
-            for number in _floats(value):
+            for number in _numbers(value):
                 if not math.isfinite(number):
                     raise ConfigError(f"{name} must be finite, got {number!r}")
         if self.fs <= 0 or self.duration_s <= 0:
@@ -208,13 +210,13 @@ _SPEC_SHAPES = {
 }
 
 
-def _floats(value) -> Iterator[float]:
-    """Every float in a spec field, with schedules and pairs flattened."""
-    if isinstance(value, float):
+def _numbers(value) -> Iterator[float]:
+    """Every number in a spec field, with schedules and pairs flattened."""
+    if _is_number(value):
         yield value
     elif isinstance(value, (list, tuple)):
         for item in value:
-            yield from _floats(item)
+            yield from _numbers(item)
 
 
 def _piecewise(schedule: Sequence, t: float) -> float:
@@ -226,14 +228,14 @@ def _piecewise(schedule: Sequence, t: float) -> float:
 
 
 def _bpm_at(spec: SynthSpec, t: float) -> float:
-    if isinstance(spec.heart_rate_bpm, (int, float)):
+    if _is_number(spec.heart_rate_bpm):
         return float(spec.heart_rate_bpm)
     return _piecewise(spec.heart_rate_bpm, t)
 
 
 def _amplitude_for(spec: SynthSpec, beat_index: int, t: float) -> float:
     amp = spec.qrs_amplitude_mv
-    if isinstance(amp, (int, float)):
+    if _is_number(amp):
         return float(amp)
     if len(amp) and isinstance(amp[0], (list, tuple)):
         return _piecewise(amp, t)

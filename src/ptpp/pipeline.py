@@ -34,13 +34,12 @@ GROUP_DELAY_PROBE_HZ = 10.0
 MAX_FILTER_ORDER = 64
 
 
-def ms_to_samples(ms: float, fs: float, minimum: int = 1) -> int:
-    """Convert a duration to samples, rounding halves up. A count too
-    large for a float raises ConfigError."""
+def ms_to_samples(ms: float, fs: float, minimum: int = 1) -> int | float:
+    """Convert a duration to samples, rounding halves up, at least
+    ``minimum``. A count too large for a float is ``math.inf``, which every
+    caller reads as longer than the record."""
     n = ms * fs / 1000.0 + 0.5
-    if math.isinf(n):
-        raise ConfigError(f"{ms} ms at {fs} Hz is too many samples")
-    return max(minimum, int(n))
+    return n if math.isinf(n) else max(minimum, int(n))
 
 
 @dataclass

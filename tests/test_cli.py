@@ -484,7 +484,7 @@ class TestEvalCommand:
     def test_sibling_search_skips_the_record_itself(self, clean, tmp_path,
                                                     capsys):
         rec = tmp_path / "rec.txt"
-        rec.write_bytes(open(clean["csv"], "rb").read())
+        rec.write_bytes(Path(clean["csv"]).read_bytes())
         assert main(["eval", str(rec), "--fs", "360",
                      "-o", str(tmp_path / "m.csv")]) == 2
         assert (f"no annotation file found next to '{rec}'"
@@ -708,7 +708,7 @@ class TestNumericInputs:
         (["compare", "{csv}", "--annotations", "{ann}",
           "--set", "detector.rr_history_beats=99999999999999999999"], 2),
         (["detect", "{csv}", "--set", "detector.min_peak_separation_ms=1e308"],
-         2),
+         0),
         (["detect", "{csv}", "--set", "detector.searchback_abs_s=1e308"], 0),
         (["detect", "{csv}", "--set", "detector.init_window_s=1e308"], 4),
         (["detect", "{csv}", "--set", "detector.init_window_s=1e-300"], 0),
@@ -866,6 +866,48 @@ class TestNumericInputs:
                      "pipeline.smooth_window_ms=1e6",
                      "-o", str(tmp_path / "out.csv")]) == 4
         assert "longer than signal" in capsys.readouterr().err
+
+
+# Every duration key: the detector 7, pipeline 2 and pt 2 keys in ms or s.
+_DURATION_KEYS = [f"{section}.{f.name}"
+                  for section, cls in (("detector", ptpp.DetectorConfig),
+                                       ("pipeline", ptpp.PipelineConfig),
+                                       ("pt", ptpp.PtConfig))
+                  for f in fields(cls) if f.name.endswith(("_ms", "_s"))]
+
+
+class TestDurationOverflow:
+    """A duration whose sample count overflows a float is a duration longer
+    than the record: 1e308 gives the exit code and the rows 1e300 gives,
+    whatever the rhythm decides about which rules run."""
+
+    @pytest.fixture(scope="class", params=[70.0, 200.0],
+                    ids=["70bpm", "200bpm"])
+    def record(self, request, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rate")
+        spec = write_spec(root / "spec.json", duration_s=10.0,
+                          heart_rate_bpm=request.param, noise_snr_db=25.0,
+                          seed=3)
+        assert main(["synth", spec, "-o", str(root / "rec")]) == 0
+        return str(root / "rec.csv")
+
+    def test_keys(self):
+        assert len(_DURATION_KEYS) == 11
+
+    @pytest.mark.parametrize("key", _DURATION_KEYS)
+    def test_overflowing_count_acts_as_huge(self, record, tmp_path, capsys,
+                                            key):
+        outcomes = []
+        for value in ("1e300", "1e308"):
+            out = tmp_path / f"{value}.csv"
+            argv = ["detect", record, "--set", f"{key}={value}",
+                    "-o", str(out)]
+            if key.startswith("pt."):
+                argv += ["--detector", "pt"]
+            outcomes.append((main(argv),
+                             out.read_bytes() if out.exists() else None))
+        assert "Traceback" not in capsys.readouterr().err
+        assert outcomes[0] == outcomes[1]
 
 
 # Every settable key but pipeline.filter_order, whose cost grows with its

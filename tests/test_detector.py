@@ -20,8 +20,7 @@ import pytest
 
 import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
-                           VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _samples,
-                           _window_argmax)
+                           VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _window_argmax)
 
 from helpers import (band_peak_reference, localize_reference,
                      thinned_maxima_reference)
@@ -183,6 +182,13 @@ class TestInitThresholds:
         x[7] = 3.0
         s = ptpp.init_thresholds(x, 5.0, ptpp.DetectorConfig(init_window_s=1.0))
         assert abs(s.threshold1 - 0.1) < REL
+
+    def test_window_rounds_through_ms(self):
+        # 0.145 s is 145 ms, 14.5 samples at 100 Hz, which rounds up to 15.
+        cfg = ptpp.DetectorConfig(init_window_s=0.145)
+        with pytest.raises(ptpp.InputTooShortError, match="need 15 samples"):
+            ptpp.init_thresholds(np.zeros(14), 100.0, cfg)
+        assert ptpp.init_thresholds(np.zeros(15), 100.0, cfg).threshold1 == 0
 
     def test_window_is_at_least_one_sample(self):
         # 2 s at fs=0.2 rounds to 0 samples; the first sample is used
@@ -679,15 +685,6 @@ class TestLocalize:
         run = ptpp.run_detector("ptpp", record.channels[0].samples, 360.0)
         assert len(run.r_peaks) == len(truth.beat_samples)
         assert np.max(np.abs(run.r_peaks - truth.beat_samples)) <= 2
-
-
-class TestSamples:
-    def test_rounds_halves_up(self):
-        assert _samples(2.5, 1.0) == 3
-        assert _samples(2.45, 1.0) == 2
-
-    def test_inf_stays_inf(self):
-        assert _samples(math.inf, 100.0) == math.inf
 
 
 class TestBandAmplitude:

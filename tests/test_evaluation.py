@@ -50,6 +50,11 @@ class TestMatchBeats:
         r = ptpp.match_beats([10, 20], annset([]), FS)
         assert (r.tp, r.fp, r.fn) == (0, 2, 0)
 
+    @pytest.mark.parametrize("fs", [0.0, -360.0, np.nan, np.inf])
+    def test_bad_sampling_rate_rejected(self, fs):
+        with pytest.raises(ptpp.ConfigError, match="sampling rate"):
+            ptpp.match_beats([10], annset([10]), fs)
+
     def test_unsorted_rejected(self):
         with pytest.raises(ptpp.ProcessingError):
             ptpp.match_beats([20, 10], annset([10]), FS)
@@ -206,6 +211,32 @@ class TestSynthSpec:
 
     def test_upper_bpm_boundary_allowed(self):
         ptpp.SynthSpec(heart_rate_bpm=260.0).validate()
+
+    @pytest.mark.parametrize("field,scalar,number", [
+        ("heart_rate_bpm", np.int64(80), 80),
+        ("heart_rate_bpm", np.float32(80.0), 80.0),
+        ("heart_rate_bpm", [[0.0, np.int64(80)]], [[0.0, 80]]),
+        ("qrs_amplitude_mv", np.int64(1), 1),
+        ("qrs_amplitude_mv", [np.float32(0.5), 1.0], [0.5, 1.0]),
+    ])
+    def test_numpy_scalar_renders_as_python_number(self, field, scalar,
+                                                   number):
+        def render(value):
+            record, truth = ptpp.synth_ecg(
+                ptpp.SynthSpec(duration_s=5.0, **{field: value}))
+            return (record.channels[0].samples.tobytes(),
+                    truth.beat_samples.tobytes())
+        assert render(scalar) == render(number)
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_snr_db", np.float32("nan")),
+        ("t_wave_amplitude", np.float32("inf")),
+        ("heart_rate_bpm", np.float32("nan")),
+        ("qrs_amplitude_mv", [np.float64(1.0), np.float32("-inf")]),
+    ])
+    def test_non_finite_numpy_scalar_refused(self, field, value):
+        with pytest.raises(ptpp.ConfigError, match=f"{field} must be finite"):
+            ptpp.SynthSpec(**{field: value}).validate()
 
 
 class TestSynthEcg:

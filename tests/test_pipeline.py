@@ -69,10 +69,16 @@ class TestMsToSamples:
     def test_rounds_halves_up(self):
         assert ptpp.ms_to_samples(2500.0, 1.0) == 3
         assert ptpp.ms_to_samples(2450.0, 1.0) == 2
+        # A seconds key is read as seconds * 1000.0 ms. 0.145 * 100 is
+        # 14.4999..., but 145 ms at 100 Hz is 14.5 samples.
+        assert ptpp.ms_to_samples(2.5 * 1000.0, 1.0) == 3
+        assert ptpp.ms_to_samples(2.45 * 1000.0, 1.0) == 2
+        assert ptpp.ms_to_samples(0.145 * 1000.0, 100.0) == 15
 
     def test_count_too_large_for_a_float(self):
-        with pytest.raises(ptpp.ConfigError, match="too many samples"):
-            ptpp.ms_to_samples(1e308, 1e308)
+        assert ptpp.ms_to_samples(1e308, 1e308) == math.inf
+        assert ptpp.ms_to_samples(1e308, 360.0, minimum=0) == math.inf
+        assert ptpp.ms_to_samples(math.inf * 1000.0, 100.0) == math.inf
 
     @hypothesis.given(ms=st.floats(0.001, 1000), fs=st.floats(1, 5000))
     def test_at_least_minimum_and_monotone(self, ms, fs):
