@@ -218,7 +218,8 @@ def mean_slope(filtered: np.ndarray, idx: int, fs: float,
     seg = np.asarray(filtered[lo:idx + 1], dtype=np.float64)
     if len(seg) < 2:
         return 0.0
-    return float(np.mean(np.abs(np.diff(seg))))
+    d = np.abs(np.diff(seg))
+    return float(np.add.reduce(d)) / len(d)  # np.mean's sum and division
 
 
 @dataclass(frozen=True)
@@ -275,18 +276,19 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     delays = stages.stage_delays_samples  # filt lags integ by every later stage
     align = sum(delays.values()) - delays.get("bandpass", 0)
     levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
+    band = []  # if any, max |band-passed| within ±75 ms of candidates - align
     if p.band_channel:
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
         abs_filt = np.abs(filt)
         levels.append(init_thresholds(abs_filt, fs, cfg, p.t2_ratio))
+        band.append(abs_filt[_window_argmax(abs_filt, half_win,
+                                            candidates - align)])
     lead = levels[0]
 
-    def band_peaks(idx: np.ndarray) -> list[np.ndarray]:
-        # Band channel, if any: max |band-passed| within ±75 ms of idx - align.
-        if not p.band_channel:
-            return []
-        return [abs_filt[_window_argmax(abs_filt, half_win, idx - align)]]
-    band = band_peaks(candidates)
+    def band_peak(j: int) -> float:
+        # One index's band amplitude, as _window_argmax picks it.
+        c = min(max(j - align, 0), len(abs_filt) - 1)
+        return float(abs_filt[max(0, c - half_win):c + half_win + 1].max())
 
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
@@ -304,9 +306,11 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     # sum is exact, so the mean is the float sum(rrs) / len(rrs) gives.
     rr_sum = 0
     rr_mean: float | None = None
+    prev_slope: float | None = None  # the last beat's, once a test needs it
 
     def add_beat(j: int, tag: str) -> None:
-        nonlocal rr_sum, rr_mean
+        nonlocal rr_sum, rr_mean, prev_slope
+        prev_slope = None
         if beat_idx:
             rr, mean = j - beat_idx[-1], rr_mean
             if len(rrs) == rrs.maxlen:
@@ -334,8 +338,10 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 rr < tw_rr or (rr_mean is not None
                                and rr < p.twave_rr_mean_frac * rr_mean)):
             cur = mean_slope(filt, max(0, i - align), fs, cfg)
-            prev = mean_slope(filt, max(0, beat_idx[-1] - align), fs, cfg)
-            is_twave = cur < cfg.twave_slope_ratio * prev
+            if prev_slope is None:
+                prev_slope = mean_slope(filt, max(0, beat_idx[-1] - align),
+                                        fs, cfg)
+            is_twave = cur < cfg.twave_slope_ratio * prev_slope
         accept_current = passes_amp and not is_twave
 
         inserted_at = None
@@ -356,8 +362,7 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 if tag is not None:
                     # Adapt before add_beat: a halving there must outlive
                     # this find's own threshold recompute.
-                    found = [wmax] + [
-                        float(b[0]) for b in band_peaks(np.array([j]))]
+                    found = [wmax, band_peak(j)] if band else [wmax]
                     for lv, peak in zip(levels, found):
                         p.insert_rule(lv, peak)
                     add_beat(j, tag)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -227,19 +228,23 @@ def _piecewise(schedule: Sequence, t: float) -> float:
     return value
 
 
-def _bpm_at(spec: SynthSpec, t: float) -> float:
-    if _is_number(spec.heart_rate_bpm):
-        return float(spec.heart_rate_bpm)
-    return _piecewise(spec.heart_rate_bpm, t)
+def _bpm_at(spec: SynthSpec) -> Callable[[float], float]:
+    """The heart rate as a function of time, the field's shape decided once
+    per spec rather than once per beat."""
+    bpm = spec.heart_rate_bpm
+    if _is_number(bpm):
+        return lambda t, bpm=float(bpm): bpm
+    return functools.partial(_piecewise, bpm)
 
 
-def _amplitude_for(spec: SynthSpec, beat_index: int, t: float) -> float:
+def _amplitudes(spec: SynthSpec, beat_times: list[float]) -> list[float]:
+    """The QRS amplitude of each beat, the field's shape decided once."""
     amp = spec.qrs_amplitude_mv
     if _is_number(amp):
-        return float(amp)
-    if len(amp) and isinstance(amp[0], (list, tuple)):
-        return _piecewise(amp, t)
-    return float(amp[beat_index % len(amp)])
+        return [float(amp)] * len(beat_times)
+    if isinstance(amp[0], (list, tuple)):
+        return [_piecewise(amp, t) for t in beat_times]
+    return [float(amp[k % len(amp)]) for k in range(len(beat_times))]
 
 
 def synth_ecg(spec: SynthSpec) -> tuple[Record, AnnotationSet]:
@@ -259,17 +264,18 @@ def synth_ecg(spec: SynthSpec) -> tuple[Record, AnnotationSet]:
     lead_in = max(0.4, 3.5 * sigma_q)
     tail = 3.0 * sigma_q + (t_delay + 3.0 * sigma_t if spec.t_wave else 0.0) + 0.05
 
+    bpm_at = _bpm_at(spec)
     beat_times: list[float] = []
     t = lead_in
     while t <= spec.duration_s - tail:
         beat_times.append(t)
-        rr = 60.0 / _bpm_at(spec, t)
+        rr = 60.0 / bpm_at(t)
         if spec.rr_jitter_frac:
             rr *= float(np.clip(1.0 + spec.rr_jitter_frac * rng.standard_normal(),
                                 0.5, 1.5))
         t += rr
 
-    amps = [_amplitude_for(spec, k, tb) for k, tb in enumerate(beat_times)]
+    amps = _amplitudes(spec, beat_times)
     if spec.spike is not None and beat_times:
         target = int(np.argmin([abs(tb - spec.spike[0]) for tb in beat_times]))
         amps[target] *= spec.spike[1]

@@ -147,60 +147,79 @@ def read_text(path: str | Path, error: type[PtppError] = ParseError) -> str:
         raise _not_utf8(path, error) from None
 
 
+# Suffixes on which numpy, given a file name, decompresses the file
+# (``numpy.lib._datasource``); the per-line reader reads such a file as text.
+_COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".xz", ".lzma"})
+
+
 def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
     """Samples of a file with one field count throughout, or None.
 
     The first non-blank line is read by hand: it is a header when its last
     field is not a float, as in :func:`_parse_csv_lines`, and its field count
-    is the count every line must have. The rest of the open file goes to one
-    ``np.loadtxt`` call that parses only the last field of each line, with
-    ``PyOS_string_to_double``, the routine behind ``float()``, so a value it
-    reads has the same bytes. numpy refuses a line with fewer fields but
-    skips extra ones, so the file must also hold exactly one comma fewer
-    than the field count per sample, besides the header's. None means the
-    per-line reader must decide: numpy refused a line, the field count
+    is the count every line must have. Then one ``np.loadtxt`` call reads the
+    file by its name, skipping the lines up to a header, and parses only the
+    last field of each line, with ``PyOS_string_to_double``, the routine
+    behind ``float()``, so a value it reads has the same bytes. Given a name,
+    numpy reads the text in chunks rather than a Python string per line; its
+    row bound, one more than the file's line-break bytes, lets it reserve
+    the rows at once instead of growing the array among those chunks. numpy
+    refuses a line with fewer fields but skips extra ones, so the file must
+    also hold exactly one comma fewer than the field count per sample,
+    besides the header's. None means the per-line reader must decide: the
+    name has a compressed suffix, numpy refused a line, the field count
     changed, or a sample is missing or non-finite.
     """
+    if path.suffix in _COMPRESSED_SUFFIXES:
+        return None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for line in fh:
+        for consumed, line in enumerate(fh, start=1):
             fields = line.strip().split(",")
             if fields != [""]:
                 break
         else:
             return None
-        if len(fields) > 2:
-            return None
-        try:
-            float(fields[-1])
-        except ValueError:  # a header row: numpy reads on from the next line
-            header_commas = len(fields) - 1
-        else:
-            header_commas = 0
-            fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # A header-only file leaves numpy nothing; that is a miss,
-                # not something to warn about.
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                samples = np.loadtxt(fh, delimiter=",", comments=None,
-                                     dtype=np.float64,
-                                     usecols=len(fields) - 1, ndmin=1)
-        except ValueError:
-            return None
-    if (not len(samples) or not np.isfinite(samples).all()
-            or _count_commas(path)
-            != header_commas + (len(fields) - 1) * len(samples)):
+    if len(fields) > 2:
+        return None
+    try:
+        float(fields[-1])
+    except ValueError:  # a header row: numpy reads on from the next line
+        header_commas, skip = len(fields) - 1, consumed
+    else:
+        header_commas, skip = 0, 0
+    commas, lines = _count_commas(path)
+    try:
+        with warnings.catch_warnings():
+            # A header-only file leaves numpy nothing, and a blank line is
+            # not a row; neither is something to warn about.
+            warnings.filterwarnings(
+                "ignore", r"(loadtxt: input|Input line \d+) contained no data",
+                UserWarning)
+            samples = np.loadtxt(str(path), delimiter=",", comments=None,
+                                 dtype=np.float64, encoding="utf-8-sig",
+                                 skiprows=skip, max_rows=lines,
+                                 usecols=len(fields) - 1, ndmin=1)
+    except ValueError:
+        return None
+    # NaN propagates through min and max, so both are finite only when
+    # every sample is, and no mask the size of the column is made.
+    if (not len(samples) or not math.isfinite(samples.min())
+            or not math.isfinite(samples.max())
+            or commas != header_commas + (len(fields) - 1) * len(samples)):
         return None
     return samples
 
 
-def _count_commas(path: Path) -> int:
-    """The commas in a file, read in fixed-size blocks so that the text is
-    never held whole."""
+def _count_commas(path: Path) -> tuple[int, int]:
+    """The commas in a file and a bound on its lines, one more than its
+    ``\\n`` and ``\\r`` bytes (a ``\\r\\n`` counts twice). The file is read
+    in fixed-size blocks so that the text is never held whole."""
+    commas = breaks = 0
     with open(path, "rb") as fh:
-        return sum(block.count(b",")
-                   for block in iter(lambda: fh.read(1 << 16), b""))
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            commas += block.count(b",")
+            breaks += block.count(b"\n") + block.count(b"\r")
+    return commas, breaks + 1
 
 
 def _parse_csv_lines(path: Path) -> np.ndarray:

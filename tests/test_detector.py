@@ -772,6 +772,28 @@ class TestBandAmplitude:
         expected.signal(1.0)
         assert band[420] == expected
 
+    @pytest.mark.parametrize("offset,amplitude", [
+        (-8, 0.05), (8, 0.05), (-9, 0.0), (9, 0.0)],
+        ids=["left_edge", "right_edge", "before", "after"])
+    def test_search_back_find_window_edges(self, offset, amplitude):
+        # As above, with a small band-passed sample 8 samples (75 ms at
+        # FS) or 9 samples from the find: only the window's edges count.
+        integ = np.zeros(700)
+        filt = np.zeros(700)
+        for a in (25, 125, 225, 420):
+            add_triangle(integ, a, 1.0)
+            add_triangle(filt, a, 1.0)
+        add_triangle(integ, 320, 0.8)
+        filt[320 + offset] = -0.05
+        trace: list = []
+        result = ptpp.detect(make_stages(integ, filt), FS, trace=trace)
+        assert result.provenance[3] == VIA_SEARCHBACK
+        band = {i: band_state for i, _, band_state in trace}
+        expected = replace(band[320])
+        expected.fast(amplitude)
+        expected.signal(1.0)
+        assert band[420] == expected
+
 
 def _traced_peak(run, x):
     """Peak bytes ``run(x)`` allocates beyond what is live when it starts."""
