@@ -218,7 +218,7 @@ def mean_slope(filtered: np.ndarray, idx: int, fs: float,
     seg = np.asarray(filtered[lo:idx + 1], dtype=np.float64)
     if len(seg) < 2:
         return 0.0
-    d = np.abs(np.diff(seg))
+    d = np.abs(seg[1:] - seg[:-1])  # np.diff's subtraction
     return float(np.add.reduce(d)) / len(d)  # np.mean's sum and division
 
 
@@ -354,7 +354,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 wmax = float(integ[j])
                 around = integ[beat_idx[-3:] + candidates[k:k + 3].tolist()]
                 tag = None
-                if wmax > p.searchback_bar(lead, float(np.mean(around))):
+                mean_around = float(np.add.reduce(around)) / len(around)
+                if wmax > p.searchback_bar(lead, mean_around):
                     tag = p.searchback_tag
                 elif (rr > spike_gap
                       and wmax > cfg.spike_recovery_t2_frac * lead.threshold2):

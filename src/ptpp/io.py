@@ -162,13 +162,14 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
     last field of each line, with ``PyOS_string_to_double``, the routine
     behind ``float()``, so a value it reads has the same bytes. Given a name,
     numpy reads the text in chunks rather than a Python string per line; its
-    row bound, one more than the file's line-break bytes, lets it reserve
-    the rows at once instead of growing the array among those chunks. numpy
-    refuses a line with fewer fields but skips extra ones, so the file must
-    also hold exactly one comma fewer than the field count per sample,
-    besides the header's. None means the per-line reader must decide: the
-    name has a compressed suffix, numpy refused a line, the field count
-    changed, or a sample is missing or non-finite.
+    row bound, the file's line count (see :func:`_count_commas`), lets it
+    reserve the rows at once, and no more rows than the file has lines,
+    instead of growing the array among those chunks. numpy refuses a line
+    with fewer fields but skips extra ones, so the file must also hold
+    exactly one comma fewer than the field count per sample, besides the
+    header's. None means the per-line reader must decide: the name has a
+    compressed suffix, numpy refused a line, the field count changed, or a
+    sample is missing or non-finite.
     """
     if path.suffix in _COMPRESSED_SUFFIXES:
         return None
@@ -210,16 +211,34 @@ def _parse_csv_fast(path: Path) -> Optional[np.ndarray]:
     return samples
 
 
+# Bytes per read in the comma and line-break count of the C path.
+_COUNT_BLOCK_BYTES = 1 << 16
+
+
 def _count_commas(path: Path) -> tuple[int, int]:
-    """The commas in a file and a bound on its lines, one more than its
-    ``\\n`` and ``\\r`` bytes (a ``\\r\\n`` counts twice). The file is read
-    in fixed-size blocks so that the text is never held whole."""
+    """The commas in a file and its universal-newline line count: one more
+    than its ``\\n`` and ``\\r`` bytes, less its ``\\r\\n`` pairs. The file is
+    read into one reused block, through one reused mask, so the text is
+    never held whole; ``\\r`` and ``\\r\\n`` are counted only in blocks that
+    hold a ``\\r``."""
+    buf = bytearray(_COUNT_BLOCK_BYTES)
+    view = np.frombuffer(buf, dtype=np.uint8)
+    mask = np.empty(len(buf), dtype=bool)
+    comma, lf, cr = ord(","), ord("\n"), ord("\r")
     commas = breaks = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            commas += block.count(b",")
-            breaks += block.count(b"\n") + block.count(b"\r")
-    return commas, breaks + 1
+    ends_in_cr = False  # the previous block's last byte was a \r
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            block, hit = view[:n], mask[:n]
+            commas += np.count_nonzero(np.equal(block, comma, out=hit))
+            breaks += np.count_nonzero(np.equal(block, lf, out=hit))
+            if ends_in_cr and buf[0] == lf:  # a \r\n split by the read
+                breaks -= 1
+            if buf.find(b"\r", 0, n) >= 0:
+                breaks += (np.count_nonzero(np.equal(block, cr, out=hit))
+                           - buf.count(b"\r\n", 0, n))
+            ends_in_cr = buf[n - 1] == cr
+    return int(commas), int(breaks) + 1
 
 
 def _parse_csv_lines(path: Path) -> np.ndarray:

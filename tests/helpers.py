@@ -216,6 +216,12 @@ def load_csv_reference(path: str | Path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+def count_commas_reference(data: bytes) -> tuple[int, int]:
+    """The commas in ``data`` and its universal-newline line count."""
+    return (data.count(b","),
+            data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n") + 1)
+
+
 def localize_reference(raw, r_peaks, total_delay: int, fs: float):
     """``ptpp.localize_rpeaks`` as its original loop: (peaks, sources)."""
     x = np.abs(np.asarray(raw, dtype=np.float64))

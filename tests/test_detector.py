@@ -313,6 +313,22 @@ class TestMeanSlope:
         cfg = ptpp.DetectorConfig(twave_slope_window_ms=200.0)
         assert ptpp.mean_slope(x, 50, FS, cfg) == 80.0
 
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        x=hnp.arrays(np.float64, st.integers(0, 12),
+                     elements=st.floats(-1e6, 1e6)),
+        idx=st.integers(0, 3) | st.integers(0, 15),
+        window_ms=st.sampled_from([10.0, 20.0, 30.0, 70.0]))
+    def test_bytes_match_literal_mean_of_diff(self, x, idx, window_ms):
+        # Windows of 1, 2, 3 and 7 samples, so segments of 0-3 samples,
+        # also at the record start, as well as full ones.
+        cfg = ptpp.DetectorConfig(twave_slope_window_ms=window_ms)
+        seg = x[max(0, idx - ptpp.ms_to_samples(window_ms, FS)):idx + 1]
+        want = np.mean(np.abs(np.diff(seg))) if len(seg) >= 2 else 0.0
+        got = ptpp.mean_slope(x, idx, FS, cfg)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Decision-loop scenarios

@@ -26,10 +26,10 @@ import ptpp.io
 from ptpp.cli import STAGES_HEADER
 from ptpp.io import BEAT_CODE_BY_SYMBOL
 
-from helpers import (AtrStream, atr_word, decode_format16_reference,
-                     decode_format212_reference, encode212,
-                     load_atr_reference, load_csv_reference, make_header,
-                     save_csv_reference, sign_extend_12,
+from helpers import (AtrStream, atr_word, count_commas_reference,
+                     decode_format16_reference, decode_format212_reference,
+                     encode212, load_atr_reference, load_csv_reference,
+                     make_header, save_csv_reference, sign_extend_12,
                      stages_writer_reference)
 
 GOLDEN_100_HEA = """\
@@ -265,12 +265,20 @@ class TestLoadCsvOracle:
         assert (_read_either(_load_samples, path)
                 == _read_either(load_csv_reference, path))
 
-    def test_peak_memory_below_per_line_loop(self, tmp_path):
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_peak_memory_below_per_line_loop(self, tmp_path, ending):
         # A 10-minute record at 360 Hz in the layout save_csv writes.
         values = np.random.default_rng(0).standard_normal(216_000)
         path = tmp_path / "long.csv"
-        path.write_text("sample_index,value\n" + "".join(
-            f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+        path.write_bytes(_join(["sample_index,value"] + [
+            f"{i},{v!r}" for i, v in enumerate(values.tolist())],
+            ending).encode("utf-8"))
+        # The first read in a process also pays one-time costs (~90 kB) that
+        # are not the C path's; a small file pays them before the trace.
+        warm = tmp_path / "warm.csv"
+        warm.write_text("sample_index,value\n0,0.5\n")
+        _load_samples(warm)
         peaks = []
         for reader in (_load_samples, load_csv_reference):
             tracemalloc.start()
@@ -282,7 +290,8 @@ class TestLoadCsvOracle:
         fast, loop = peaks
         assert fast < loop
         # The C path holds the value column and little else: 1.05x on
-        # numpy 2.4.6, and the rest of the bound is a ~90 kB margin.
+        # numpy 2.4.6 with each ending, as the row bound is the line count,
+        # and the rest of the bound is a ~90 kB margin.
         assert fast <= 1.1 * values.nbytes
 
 
@@ -360,15 +369,18 @@ class TestLoadCsvByName:
                              ids=["header", "no_header"])
     def test_crlf_split_across_count_blocks(self, tmp_path, monkeypatch,
                                             header):
+        block = ptpp.io._COUNT_BLOCK_BYTES
         head = "sample_index,value\r\n" if header else ""
         body = _join(_rows(6_000, True), "\r\n")
         # Zeros before the first index move the last CRLF that fits in the
         # first block until its CR is that block's last byte.
-        pad = (1 << 16) - 1 - (head + body).encode().rfind(b"\r\n", 0, 1 << 16)
+        pad = block - 1 - (head + body).encode().rfind(b"\r\n", 0, block)
         data = (head + "0" * pad + body).encode("utf-8")
-        assert data[(1 << 16) - 1:(1 << 16) + 1] == b"\r\n"
+        assert data[block - 1:block + 1] == b"\r\n"
         samples = self._check(tmp_path, monkeypatch, data)
         assert len(samples) == 6_000 * 8  # float64 bytes
+        assert (ptpp.io._count_commas(tmp_path / "t.csv")
+                == count_commas_reference(data))
 
     @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".xz", ".lzma"])
     def test_compressed_suffix_on_plain_text(self, tmp_path, monkeypatch,
@@ -387,6 +399,43 @@ class TestLoadCsvByName:
             warnings.simplefilter("error")
             with pytest.raises(ptpp.ParseError, match="byte 1: not UTF-8"):
                 ptpp.load_csv(path, 360.0)
+
+
+class TestCountCommas:
+    """The comma and line count of the C path against ``bytes.count``, at
+    block sizes small enough that every pair of bytes is split by a read."""
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        atoms=st.lists(st.sampled_from(
+            ["\r\n", "\r", "\n\r", "\n", ",", "\ufeff", "0"]), max_size=40),
+        block=st.integers(1, 7))
+    def test_matches_bytes_count(self, atoms, block):
+        data = "".join(atoms).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(data)
+            mp.setattr(ptpp.io, "_COUNT_BLOCK_BYTES", block)
+            got = ptpp.io._count_commas(path)
+        assert got == count_commas_reference(data)
+        assert all(type(n) is int for n in got)
+
+    def test_peak_memory_is_a_few_blocks(self, tmp_path):
+        # A 10-minute record at 360 Hz in the layout save_csv writes: the
+        # pass holds a block and its mask, never the text.
+        values = np.random.default_rng(0).standard_normal(216_000)
+        path = tmp_path / "long.csv"
+        path.write_text("sample_index,value\n" + "".join(
+            f"{i},{v!r}\n" for i, v in enumerate(values.tolist())))
+        assert path.stat().st_size > 40 * ptpp.io._COUNT_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            ptpp.io._count_commas(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ptpp.io._COUNT_BLOCK_BYTES
 
 
 # Values where repr's output changes shape: signed zero, the smallest
