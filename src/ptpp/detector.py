@@ -16,8 +16,8 @@ Detections are indexed in integrated-signal coordinates; use
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -117,9 +117,14 @@ class DetectorConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
             if math.isinf(value) and name not in _OFF_WHEN_INF:
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.rr_history_beats < 1:
+        try:  # ints, bools and numpy integers pass; floats do not
+            beats = operator.index(self.rr_history_beats)
+        except TypeError:
+            raise ConfigError(f"rr_history_beats must be an integer, got "
+                              f"{self.rr_history_beats!r}") from None
+        if beats < 1:
             raise ConfigError("rr_history_beats must be >= 1")
-        if self.rr_history_beats > sys.maxsize:  # a deque's largest maxlen
+        if beats > sys.maxsize:  # documented as a config error (exit 2)
             raise ConfigError(f"rr_history_beats must be <= {sys.maxsize}")
         if not 0 < self.twave_slope_ratio < 1:
             raise ConfigError("twave_slope_ratio must lie in (0, 1)")
@@ -284,12 +289,6 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         band.append(abs_filt[_window_argmax(abs_filt, half_win,
                                             candidates - align)])
     lead = levels[0]
-
-    def band_peak(j: int) -> float:
-        # One index's band amplitude, as _window_argmax picks it.
-        c = min(max(j - align, 0), len(abs_filt) - 1)
-        return float(abs_filt[max(0, c - half_win):c + half_win + 1].max())
-
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
     blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
@@ -300,30 +299,23 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     beat_idx: list[int] = []
     provenance: list[str] = []
     rejected: list[tuple[int, str]] = []
-    rrs: deque[int] = deque(maxlen=cfg.rr_history_beats)
-    # Mean of the last rr_history_beats RR intervals, undefined until the
-    # ring is full: the relative RR rules wait for that many. The integer
-    # sum is exact, so the mean is the float sum(rrs) / len(rrs) gives.
-    rr_sum = 0
+    # Mean of the last n RR intervals, whose integer sum is the span of the
+    # last n + 1 beats; undefined until then, and the relative rules wait.
+    n = operator.index(cfg.rr_history_beats)
     rr_mean: float | None = None
     prev_slope: float | None = None  # the last beat's, once a test needs it
 
     def add_beat(j: int, tag: str) -> None:
-        nonlocal rr_sum, rr_mean, prev_slope
+        nonlocal rr_mean, prev_slope
         prev_slope = None
-        if beat_idx:
-            rr, mean = j - beat_idx[-1], rr_mean
-            if len(rrs) == rrs.maxlen:
-                rr_sum -= rrs[0]
-            rrs.append(rr)
-            rr_sum += rr
-            if len(rrs) == rrs.maxlen:
-                rr_mean = rr_sum / len(rrs)
-            if mean is not None and not (low * mean <= rr <= high * mean):
-                for lv in levels:
-                    lv.halve()
+        if rr_mean is not None and not (
+                low * rr_mean <= j - beat_idx[-1] <= high * rr_mean):
+            for lv in levels:
+                lv.halve()
         beat_idx.append(j)
         provenance.append(tag)
+        if len(beat_idx) > n:
+            rr_mean = (j - beat_idx[-1 - n]) / n
 
     for k, i, peaks in _blocks(candidates, integ, band):
         rr = (i - beat_idx[-1]) if beat_idx else None
@@ -363,7 +355,10 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 if tag is not None:
                     # Adapt before add_beat: a halving there must outlive
                     # this find's own threshold recompute.
-                    found = [wmax, band_peak(j)] if band else [wmax]
+                    found = [wmax]
+                    if band:  # the windowed max every candidate gets
+                        found += abs_filt[_window_argmax(
+                            abs_filt, half_win, [j - align])].tolist()
                     for lv, peak in zip(levels, found):
                         p.insert_rule(lv, peak)
                     add_beat(j, tag)

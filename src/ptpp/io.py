@@ -142,7 +142,7 @@ def read_text(path: str | Path, error: type[PtppError] = ParseError) -> str:
     """A whole UTF-8 text file; other bytes raise ``error`` (see
     :func:`_not_utf8`)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise _not_utf8(path, error) from None
 
@@ -381,38 +381,46 @@ def parse_wfdb_header(text: str, source: str = "<header>") -> HeaderInfo:
                       channels=channels)
 
 
-def _to_millivolts(raw: np.ndarray, header: HeaderInfo) -> Record:
-    # One channel at a time, so only one float64 lead exists beyond those
-    # already converted.
+def _to_millivolts(counts: np.ndarray, header: HeaderInfo,
+                   source: str) -> Record:
+    """The counts in millivolts, one lead at a time, so only one float64
+    lead exists beyond those already converted. A lead whose gain takes a
+    sample past the float range raises :class:`ParseError`."""
     channels = []
     for i, ch in enumerate(header.channels):
-        mv = raw[:, i].astype(np.float64)
+        mv = counts[:, i].astype(np.float64)
         mv -= ch.baseline
-        mv /= ch.gain
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            mv /= ch.gain
+        # No sample is NaN, so the extremes are finite exactly when every
+        # sample is, and no mask the size of the lead is made.
+        if len(mv) and not (math.isfinite(mv.min())
+                            and math.isfinite(mv.max())):
+            raise ParseError(f"{source}: lead {ch.label!r}: gain {ch.gain!r} "
+                             f"takes samples outside the float range")
         channels.append(Channel(label=ch.label, samples=mv,
                                 gain=ch.gain, baseline=ch.baseline))
     return Record(sampling_rate_hz=header.sampling_rate_hz,
-                  channels=channels, duration_samples=raw.shape[0])
+                  channels=channels, duration_samples=counts.shape[0])
 
 
-def decode_format212(data: bytes, header: HeaderInfo) -> Record:
-    """Unpack bit-packed 12-bit sample pairs into a millivolt Record.
-
-    Every 3 bytes hold two 12-bit two's-complement samples: the first is
-    byte0 plus the low nibble of byte1 as its high bits, the second is
-    byte2 plus the high nibble of byte1 as its high bits.
-    """
+def _decode_counts(data: bytes, header: HeaderInfo, fmt: int) -> np.ndarray:
+    """The ``(n_samples, n_channels)`` int counts of a format-212 or
+    format-16 stream, after checking each channel's format and the length."""
     for ch in header.channels:
-        if ch.format_code != 212:
+        if ch.format_code != fmt:
             raise UnsupportedFormatError(
                 f"channel {ch.label!r} declares format {ch.format_code}, "
-                f"expected 212")
+                f"expected {fmt}")
     total = header.n_samples * header.n_channels
-    need = (3 * total + 1) // 2  # ceil(1.5 * total)
+    need = (3 * total + 1) // 2 if fmt == 212 else 2 * total
     if len(data) < need:
-        raise ParseError(f"truncated format-212 stream: have {len(data)} "
+        raise ParseError(f"truncated format-{fmt} stream: have {len(data)} "
                          f"bytes, need {need} (failed at byte {len(data)})")
-    pairs = (total + 1) // 2
+    if fmt == 16:
+        flat = np.frombuffer(data, dtype="<i2", count=total)
+        return flat.reshape(header.n_samples, header.n_channels)
+    pairs = (total + 1) // 2  # format 212: see decode_format212
     buf = np.frombuffer(data, dtype=np.uint8, count=min(len(data), 3 * pairs))
     if len(buf) < 3 * pairs:  # tolerate a clipped final pad byte
         buf = np.concatenate([buf, np.zeros(3 * pairs - len(buf), np.uint8)])
@@ -427,25 +435,24 @@ def decode_format212(data: bytes, header: HeaderInfo) -> Record:
     flat = flat[:total]
     flat <<= 20  # sign-extend from bit 11: move it to bit 31 and back
     flat >>= 20
-    return _to_millivolts(flat.reshape(header.n_samples, header.n_channels),
-                          header)
+    return flat.reshape(header.n_samples, header.n_channels)
+
+
+def decode_format212(data: bytes, header: HeaderInfo) -> Record:
+    """Unpack bit-packed 12-bit sample pairs into a millivolt Record.
+
+    Every 3 bytes hold two 12-bit two's-complement samples: the first is
+    byte0 plus the low nibble of byte1 as its high bits, the second is
+    byte2 plus the high nibble of byte1 as its high bits.
+    """
+    return _to_millivolts(_decode_counts(data, header, 212), header,
+                          header.record_name)
 
 
 def decode_format16(data: bytes, header: HeaderInfo) -> Record:
     """Decode little-endian 16-bit samples (WFDB format 16)."""
-    for ch in header.channels:
-        if ch.format_code != 16:
-            raise UnsupportedFormatError(
-                f"channel {ch.label!r} declares format {ch.format_code}, "
-                f"expected 16")
-    total = header.n_samples * header.n_channels
-    need = 2 * total
-    if len(data) < need:
-        raise ParseError(f"truncated format-16 stream: have {len(data)} bytes,"
-                         f" need {need} (failed at byte {len(data)})")
-    flat = np.frombuffer(data, dtype="<i2", count=total)
-    return _to_millivolts(flat.reshape(header.n_samples, header.n_channels),
-                          header)
+    return _to_millivolts(_decode_counts(data, header, 16), header,
+                          header.record_name)
 
 
 def load_wfdb_record(header_path: str | Path) -> Record:
@@ -469,24 +476,21 @@ def load_wfdb_record(header_path: str | Path) -> Record:
     if fmt not in INVALID_SAMPLE:
         raise UnsupportedFormatError(f"{header_path}: signal format {fmt} is "
                                      f"not supported (only 212 and 16)")
-    decode = decode_format212 if fmt == 212 else decode_format16
-    record = decode(data, header)
-    # The decoders convert counts exactly, so a gap is any sample equal to
-    # the millivolt value of its format's invalid-sample code.
+    counts = _decode_counts(data, header, fmt)
     code = INVALID_SAMPLE[fmt]
-    for ch in record.channels:
-        gap = ch.samples == (np.float64(code) - ch.baseline) / ch.gain
+    for i, ch in enumerate(header.channels):
+        gap = counts[:, i] == code
         if gap.any():
             raise UnsupportedFormatError(
                 f"{header_path}: lead {ch.label!r} holds the format-{fmt} "
                 f"invalid-sample code {code} (a signal gap) at sample "
                 f"{int(gap.argmax())}; records with gaps are not supported")
-    return record
+    return _to_millivolts(counts, header, str(header_path))
 
 
 def _load_plain_annotations(path: Path) -> AnnotationSet:
     indices = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

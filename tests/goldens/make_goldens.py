@@ -62,6 +62,17 @@ RANDOM_SEED = 20221106
 # the ±75 ms snap window); it exercises the collapse path of the localizer.
 COLLAPSE_CASE = ("collapse_ptpp", dict(duration_s=60.0, noise_snr_db=5.0),
                  {"min_peak_separation_ms": 60.0, "post_peak_blank_ms": 60.0})
+# A rhythm that slows from 110 to 45 bpm and speeds up again, with tall late
+# T waves: the T-wave gate's 0.5 x rr_mean reaches past 360 ms only when the
+# RR mean has caught up with the slow rate, so histories of 1, 3, 8 and 50
+# beats each decide differently.
+RR_HISTORY_SPEC = dict(duration_s=120.0,
+                       heart_rate_bpm=[[0.0, 110.0], [40.0, 45.0],
+                                       [80.0, 100.0]],
+                       t_wave_amplitude=1.1, t_wave_delay_ms=420.0,
+                       t_wave_width_ms=120.0, rr_jitter_frac=0.05,
+                       noise_snr_db=25.0, seed=52)
+RR_HISTORY_BEATS = (1, 3, 50)
 
 
 def random_specs() -> dict[str, dict]:
@@ -88,6 +99,9 @@ def build_cases() -> list[dict]:
     name, spec, overrides = COLLAPSE_CASE
     cases.append({"name": name, "spec": spec,
                   "detectors": {"ptpp": overrides}})
+    cases += [{"name": f"rr_history_{n}", "spec": RR_HISTORY_SPEC,
+               "detectors": {"ptpp": {"rr_history_beats": n}}}
+              for n in RR_HISTORY_BEATS]
     return cases
 
 

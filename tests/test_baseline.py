@@ -105,7 +105,7 @@ class TestClassicLoop:
         # 360 ms window, and the classic loop has no window relative to
         # rr_mean, so the hump is a beat (a false positive)
         integ = np.zeros(3400)
-        apices = list(range(25, 3300, 400))  # 9 beats fill the RR ring
+        apices = list(range(25, 3300, 400))  # 9 beats define rr_mean
         for a in apices:
             add_triangle(integ, a, 1.0)
         add_triangle(integ, apices[-1] + 38, 0.5, half_width=40)

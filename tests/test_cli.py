@@ -988,3 +988,49 @@ class TestNonUtf8Input:
         offset = content.index(b"\xff")
         assert f"{bad}: byte {offset}: not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+class TestByteOrderMark:
+    """Every text input decodes with ``utf-8-sig``: a UTF-8 byte-order mark
+    at its start changes nothing."""
+
+    @staticmethod
+    def _header_record(root, clean, text_of):
+        samples = ptpp.load_csv(clean["csv"], 360.0).channels[0].samples
+        (root / "r.dat").write_bytes(encode212(np.round(samples * 200.0)))
+        return text_of("r.hea", make_header(
+            "r", 360.0, len(samples), ["r.dat 212 200 12 0 0 0 0 MLII"]))
+
+    @pytest.mark.parametrize("kind", ["header", "annotations", "config",
+                                      "spec"])
+    def test_same_result_as_without(self, clean, tmp_path, kind):
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            root = tmp_path / f"bom{len(bom)}"
+            root.mkdir()
+
+            def text_of(name, text):
+                (root / name).write_bytes(bom + text.encode("utf-8"))
+                return str(root / name)
+
+            out = str(root / "out.csv")
+            if kind == "header":
+                argv = ["detect", self._header_record(root, clean, text_of)]
+            elif kind == "annotations":
+                ann = Path(clean["ann"]).read_text(encoding="utf-8")
+                argv = ["eval", clean["csv"], "--annotations",
+                        text_of("rec.ann", ann)]
+            elif kind == "config":
+                argv = ["detect", clean["csv"], "--config",
+                        text_of("c.cfg", "detector.rr_history_beats = 3\n")]
+            else:
+                argv = ["synth", text_of("s.json", '{"duration_s": 5.0}')]
+                out = str(root / "out")
+            assert main(argv + ["-o", out]) == 0
+            written = sorted(p for p in root.iterdir() if p.stem == "out")
+            # Drop eval's timing column; every other cell must match.
+            results.append([[row[:9] for row in csv.reader(
+                p.read_text(encoding="utf-8").splitlines())]
+                for p in written])
+        assert results[0] == results[1]
+        assert results[0] and all(len(rows) > 1 for rows in results[0])

@@ -91,6 +91,32 @@ class TestDetectorConfig:
     def test_validate_accepts(self, edge):
         ptpp.DetectorConfig(**edge).validate()
 
+    @pytest.mark.parametrize("beats", [8.0, 8.5, "8", None])
+    def test_rr_history_must_be_an_integer(self, beats):
+        cfg = ptpp.DetectorConfig(rr_history_beats=beats)
+        with pytest.raises(ptpp.ConfigError, match="must be an integer"):
+            cfg.validate()
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=5.0))
+        with pytest.raises(ptpp.ConfigError, match="must be an integer"):
+            ptpp.run_detector("ptpp", record.channels[0].samples, 360.0,
+                              detector_cfg=cfg)
+
+    @pytest.mark.parametrize("beats,same_as", [(True, 1), (np.int64(8), 8)])
+    def test_rr_history_takes_integer_kinds(self, beats, same_as):
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(
+            duration_s=30.0, heart_rate_bpm=[[0.0, 110.0], [10.0, 45.0]],
+            t_wave_amplitude=1.1, t_wave_delay_ms=420.0, seed=3))
+        stages = ptpp.run_pipeline(record.channels[0].samples, 360.0)
+
+        def run(n):
+            trace: list = []
+            result = ptpp.detect(stages, 360.0,
+                                 ptpp.DetectorConfig(rr_history_beats=n),
+                                 trace)
+            return result.r_peaks.tolist(), result.rejected, repr(trace)
+
+        assert run(beats) == run(same_as)
+
 
 class TestFindCandidates:
     def test_isolated_maxima(self):
@@ -492,6 +518,23 @@ class TestDecisionLoop:
         assert result.provenance == [VIA_THRESHOLD1] * 3 + [VIA_SEARCHBACK,
                                                             VIA_THRESHOLD1]
         assert result.rejected == [(261, REJECT_BELOW)]
+
+    @pytest.mark.parametrize("n,twave", [(3, True), (4, True), (5, False),
+                                         (8, False)])
+    def test_rr_mean_spans_the_last_n_beats(self, n, twave):
+        # Nine RRs of 60 samples, then three of 120. A flat hump 50 samples
+        # after the last beat faces the slope test only if 50 < 0.5 x the
+        # mean of the last n RRs: 120, 105, 96 and 82.5 for n = 3, 4, 5, 8.
+        integ = np.zeros(1100)
+        apices = list(range(25, 566, 60)) + [685, 805, 925]
+        for a in apices:
+            add_triangle(integ, a, 1.0)
+        add_triangle(integ, 975, 0.5, half_width=40)
+        result = ptpp.detect(make_stages(integ), FS,
+                             ptpp.DetectorConfig(rr_history_beats=n))
+        assert ((975, REJECT_TWAVE) in result.rejected) == twave
+        np.testing.assert_array_equal(
+            result.r_peaks, apices if twave else apices + [975])
 
     @pytest.mark.parametrize("beats,offset", [(4, 36), (9, 50)])
     def test_twave_windows_exclude_their_end(self, beats, offset):

@@ -24,7 +24,7 @@ import pytest
 import ptpp
 import ptpp.io
 from ptpp.cli import STAGES_HEADER
-from ptpp.io import BEAT_CODE_BY_SYMBOL
+from ptpp.io import BEAT_CODE_BY_SYMBOL, INVALID_SAMPLE
 
 from helpers import (AtrStream, atr_word, count_commas_reference,
                      decode_format16_reference, decode_format212_reference,
@@ -958,6 +958,71 @@ class TestLoadWfdbRecord:
                                  rf"invalid-sample code {code} \(a signal "
                                  r"gap\) at sample 29"):
             ptpp.load_wfdb_record(tmp_path / "g.hea")
+
+    @pytest.mark.parametrize("fmt", [212, 16])
+    def test_gaps_are_found_on_counts(self, tmp_path, fmt):
+        # At baseline 1e20 the counts next to the gap code round to its
+        # millivolt value, so only the counts tell data from a gap.
+        code = INVALID_SAMPLE[fmt]
+        raw = np.array([[code + 1], [code + 2]])
+        (tmp_path / "b.hea").write_text(make_header(
+            "b", 360, 2, [f"b.dat {fmt} 200({10 ** 20}) 12 0 0 0 0 MLII"]))
+        (tmp_path / "b.dat").write_bytes(
+            encode212(raw.ravel()) if fmt == 212
+            else raw.astype("<i2").tobytes())
+        samples = ptpp.load_wfdb_record(tmp_path / "b.hea").channels[0].samples
+        gap_mv = (np.float64(code) - 10 ** 20) / 200
+        assert samples[0] == samples[1] == gap_mv
+
+
+class TestMillivoltRange:
+    """A gain that takes a lead's millivolts past the float range is a parse
+    error naming the header, the lead and the gain, and no warning."""
+
+    def _write(self, tmp_path, fmt, gain, codes):
+        n = len(codes)
+        lines = [f"r.dat {fmt} {gain} 12 0 0 0 0 {label}"
+                 for label in ("MLII", "V5")]
+        (tmp_path / "r.hea").write_text(make_header("r", 360, n, lines))
+        raw = np.stack([np.zeros(n, dtype=np.int64), codes], axis=1)
+        (tmp_path / "r.dat").write_bytes(
+            encode212(raw.ravel()) if fmt == 212
+            else raw.astype("<i2").tobytes())
+        return tmp_path / "r.hea"
+
+    @pytest.mark.parametrize("fmt", [212, 16])
+    @pytest.mark.parametrize("gain", ["1e-306", "1e-320"])
+    def test_refused_with_its_gain(self, tmp_path, fmt, gain):
+        # 20 s of counts up to 1000, and no gap code among them.
+        t = np.arange(7200) / 360.0
+        codes = np.round(1000 * np.sin(2 * np.pi * 1.2 * t)).astype(np.int64)
+        path = self._write(tmp_path, fmt, gain, codes)
+        message = (f"lead 'V5': gain {float(gain)!r} takes samples outside "
+                   f"the float range")
+        with pytest.raises(ptpp.ParseError,
+                           match=re.escape(f"{path}: {message}")):
+            ptpp.load_wfdb_record(path)
+        header = ptpp.parse_wfdb_header(path.read_text())
+        decode = ptpp.decode_format212 if fmt == 212 else ptpp.decode_format16
+        with pytest.raises(ptpp.ParseError, match=re.escape(message)):
+            decode((tmp_path / "r.dat").read_bytes(), header)
+
+    @pytest.mark.parametrize("fmt", [212, 16])
+    def test_a_gap_is_named_first(self, tmp_path, fmt):
+        code = INVALID_SAMPLE[fmt]
+        path = self._write(tmp_path, fmt, "1e-320",
+                           np.array([1000, code, 5], dtype=np.int64))
+        with pytest.raises(ptpp.UnsupportedFormatError,
+                           match="lead 'V5' holds .* at sample 1"):
+            ptpp.load_wfdb_record(path)
+
+    @pytest.mark.parametrize("fmt", [212, 16])
+    def test_finite_extremes_load(self, tmp_path, fmt):
+        low = -2047 if fmt == 212 else -32767
+        path = self._write(tmp_path, fmt, "2e-304",
+                           np.array([low, 1000, 0], dtype=np.int64))
+        got = ptpp.load_wfdb_record(path).channels[1].samples
+        assert got.tolist() == [low / 2e-304, 1000 / 2e-304, 0.0]
 
 
 # ---------------------------------------------------------------------------
