@@ -18,7 +18,7 @@ from .detector import (DetectionResult, DetectorConfig, ThresholdState,
 from .errors import (ConfigError, InputTooShortError, ParseError,
                      ProcessingError, PtppError, UnsupportedFormatError)
 from .evaluation import (MatchReport, Metrics, SynthSpec, match_beats,
-                         metrics, synth_ecg, time_detector)
+                         metrics, synth_ecg, time_detectors)
 from .io import (AnnotationSet, Channel, HeaderInfo, Record, decode_format16,
                  decode_format212, load_annotations, load_csv,
                  load_wfdb_record, parse_wfdb_header, save_annotations,
@@ -42,6 +42,6 @@ __all__ = [
     "localize_rpeaks", "match_beats", "mean_slope", "metrics", "ms_to_samples",
     "mwi", "parse_wfdb_header", "run_detector", "run_pipeline",
     "save_annotations", "save_csv", "smooth", "square", "synth_ecg",
-    "threshold3", "time_detector", "update_rule1", "update_rule2",
+    "threshold3", "time_detectors", "update_rule1", "update_rule2",
     "__version__",
 ]

@@ -48,6 +48,8 @@ class PtConfig:
                 raise ConfigError(f"{name} must lie in (0, 2)")
         if self.rr_low_frac >= self.rr_high_frac:
             raise ConfigError("rr_low_frac must be below rr_high_frac")
+        if not 0 < self.twave_slope_ratio < 1:
+            raise ConfigError("twave_slope_ratio must lie in (0, 1)")
 
 
 def detect_pt(stages: StageOutputs, fs: float,

@@ -18,7 +18,7 @@ from .baseline import PtConfig
 from .detector import DetectorConfig
 from .errors import ConfigError, ParseError, PtppError
 from .evaluation import (SynthSpec, match_beats, metrics, synth_ecg,
-                         time_detector, timed_call)
+                         time_detectors, timed_call)
 from .io import (AnnotationSet, Record, _write_columns, load_annotations,
                  load_csv, load_wfdb_record, read_text, save_annotations,
                  save_csv)
@@ -349,14 +349,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     path, samples, fs = _open_lead(args.records[0], args)
     out = _output_path(args.output or "bench.csv", [path])
-    rows, medians = [], {}
-    for detector in DETECTORS:
-        median_s = time_detector(detector, samples, fs, repeats=args.repeats,
-                                 **args.run_cfgs[detector])
-        medians[detector] = median_s
-        rows.append([detector, path.stem, len(samples), repr(fs),
-                     f"{median_s:.4f}", max(5, args.repeats),
-                     "serialized-single-thread"])
+    runs = max(5, args.repeats)  # a median of fewer runs is too noisy
+    medians = time_detectors(samples, fs, repeats=runs, configs=args.run_cfgs)
+    rows = [[detector, path.stem, len(samples), repr(fs), f"{s:.4f}", runs,
+             "serialized-single-thread"] for detector, s in medians.items()]
     _write_csv(out, ["detector", "record", "n_samples", "sampling_rate_hz",
                      "median_s", "runs", "note"], rows)
     ratio = medians["ptpp"] / medians["pt"] if medians["pt"] > 0 else float("inf")

@@ -142,9 +142,10 @@ class DetectionResult:
 def find_candidates(integrated: np.ndarray, fs: float,
                     cfg: DetectorConfig | None = None) -> np.ndarray:
     """Candidate peak indices on the integrated signal: its interior local
-    maxima, greedily thinned so survivors are at least 231 ms apart. Maxima
-    are visited largest first (equal amplitudes earlier first); each one not
-    yet marked is kept and marks every maximum closer than the spacing."""
+    maxima that are >= 0, greedily thinned so survivors are at least 231 ms
+    apart. Maxima are visited largest first (equal amplitudes earlier first);
+    each one not yet marked is kept and marks every maximum closer than the
+    spacing."""
     if cfg is None:
         cfg = DetectorConfig()
     x = np.asarray(integrated, dtype=np.float64)
@@ -152,6 +153,8 @@ def find_candidates(integrated: np.ndarray, fs: float,
     # thins alike; clipping keeps the int64 sums below from overflowing.
     min_sep = min(ms_to_samples(cfg.min_peak_separation_ms, fs), len(x) + 1)
     peaks = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] >= x[2:]))[0] + 1
+    # Smoothing's negative taps can dip the signal below 0: no peak there.
+    peaks = peaks[x[peaks] >= 0]
     # Maxima lo[m]:hi[m] lie closer than min_sep to maximum m.
     lo = np.searchsorted(peaks, peaks - (min_sep - 1))
     hi = np.searchsorted(peaks, peaks + min_sep)
@@ -259,16 +262,11 @@ def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
     return out
 
 
-def _blocks(candidates: np.ndarray, integ: np.ndarray, band: list):
-    """Yield (k, candidates[k], [integ[candidates[k]], *(b[k] for b in
-    band)]) as Python numbers, converting _BLOCK_ITEMS of them at a time."""
-    for start in range(0, len(candidates), _BLOCK_ITEMS):
-        block = candidates[start:start + _BLOCK_ITEMS]
-        columns = [integ[block].tolist()] + [
-            b[start:start + _BLOCK_ITEMS].tolist() for b in band]
-        for k, i, *peaks in zip(range(start, start + len(block)),
-                                block.tolist(), *columns):
-            yield k, i, peaks
+def _blocks(*columns: np.ndarray):
+    """Yield the rows of equal-length ``columns`` as tuples of Python
+    numbers, converting _BLOCK_ITEMS of each at a time."""
+    for s in range(0, len(columns[0]), _BLOCK_ITEMS):
+        yield from zip(*[c[s:s + _BLOCK_ITEMS].tolist() for c in columns])
 
 
 def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
@@ -303,11 +301,9 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     # last n + 1 beats; undefined until then, and the relative rules wait.
     n = operator.index(cfg.rr_history_beats)
     rr_mean: float | None = None
-    prev_slope: float | None = None  # the last beat's, once a test needs it
 
     def add_beat(j: int, tag: str) -> None:
-        nonlocal rr_mean, prev_slope
-        prev_slope = None
+        nonlocal rr_mean
         if rr_mean is not None and not (
                 low * rr_mean <= j - beat_idx[-1] <= high * rr_mean):
             for lv in levels:
@@ -317,7 +313,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
         if len(beat_idx) > n:
             rr_mean = (j - beat_idx[-1 - n]) / n
 
-    for k, i, peaks in _blocks(candidates, integ, band):
+    for k, (i, *peaks) in enumerate(_blocks(candidates, integ[candidates],
+                                            *band)):
         rr = (i - beat_idx[-1]) if beat_idx else None
 
         passes_amp = True
@@ -330,10 +327,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 rr < tw_rr or (rr_mean is not None
                                and rr < p.twave_rr_mean_frac * rr_mean)):
             cur = mean_slope(filt, max(0, i - align), fs, cfg)
-            if prev_slope is None:
-                prev_slope = mean_slope(filt, max(0, beat_idx[-1] - align),
-                                        fs, cfg)
-            is_twave = cur < cfg.twave_slope_ratio * prev_slope
+            prev = mean_slope(filt, max(0, beat_idx[-1] - align), fs, cfg)
+            is_twave = cur < cfg.twave_slope_ratio * prev
         accept_current = passes_amp and not is_twave
 
         inserted_at = None

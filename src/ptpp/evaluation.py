@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ProcessingError
 from .io import AnnotationSet, Channel, Record
 from .pipeline import ms_to_samples
-from .runner import run_detector
+from .runner import DETECTORS, run_detector
 
 Schedule = Union[float, Sequence]
 
@@ -314,17 +314,20 @@ def synth_ecg(spec: SynthSpec) -> tuple[Record, AnnotationSet]:
 
 
 def timed_call(fn, *args, **kwargs) -> tuple:
-    """``fn(*args, **kwargs)`` and the wall-clock seconds it took."""
-    started = time.perf_counter()
+    """``fn(*args, **kwargs)`` and the CPU seconds this process spent on it."""
+    started = time.process_time()
     result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
+    return result, time.process_time() - started
 
 
-def time_detector(detector: str, samples: np.ndarray, fs: float, *,
-                  repeats: int = 5, **configs) -> float:
-    """Median wall-clock seconds of ``run_detector(detector, samples, fs,
-    **configs)``: pipeline + decision + localization, file I/O excluded,
-    over at least five runs."""
-    times = [timed_call(run_detector, detector, samples, fs, **configs)[1]
-             for _ in range(max(5, repeats))]
-    return float(statistics.median(times))
+def time_detectors(samples: np.ndarray, fs: float, *, repeats: int = 5,
+                   configs: dict | None = None) -> dict[str, float]:
+    """Median CPU seconds of ``run_detector`` per detector over ``repeats``
+    rounds, each running every detector once, in reverse order on odd
+    rounds. ``configs`` maps a detector to its ``run_detector`` keywords."""
+    times: dict[str, list] = {d: [] for d in DETECTORS}
+    for r in range(repeats):
+        for d in DETECTORS[::-1] if r % 2 else DETECTORS:
+            times[d].append(timed_call(run_detector, d, samples, fs,
+                                       **(configs or {}).get(d, {}))[1])
+    return {d: statistics.median(t) for d, t in times.items()}

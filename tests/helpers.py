@@ -247,14 +247,15 @@ def localize_reference(raw, r_peaks, total_delay: int, fs: float):
 
 
 def thinned_maxima_reference(x: np.ndarray, min_sep: int) -> np.ndarray:
-    """Interior local maxima of ``x``, greedily thinned so survivors are at
-    least ``min_sep`` apart; on conflict the larger amplitude wins and equal
-    amplitudes keep the earlier index."""
+    """Interior local maxima of ``x`` that are >= 0, greedily thinned so
+    survivors are at least ``min_sep`` apart; on conflict the larger
+    amplitude wins and equal amplitudes keep the earlier index."""
     if len(x) < 3:
         return np.empty(0, dtype=np.int64)
     rising = x[1:-1] > x[:-2]
     falling = x[1:-1] >= x[2:]
-    peaks = np.nonzero(rising & falling)[0] + 1
+    at_least_zero = x[1:-1] >= 0
+    peaks = np.nonzero(rising & falling & at_least_zero)[0] + 1
     if len(peaks) == 0 or min_sep <= 1:
         return peaks.astype(np.int64)
     order = np.argsort(-x[peaks], kind="stable")

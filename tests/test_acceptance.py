@@ -3,7 +3,8 @@
 One test per criterion on the project's acceptance checklist (see the
 ``CRITERIA`` table in conftest). Every test runs through the ``acceptance``
 fixture so the terminal summary ends with a visible PASS/FAIL/SKIP line per
-criterion, and wall-clock budgets are asserted where the checklist sets one.
+criterion, and time budgets are asserted where the checklist sets one: wall
+time, except the throughput budget, which is CPU time.
 """
 
 import time
@@ -272,9 +273,9 @@ def test_criterion_8_throughput(acceptance):
     with acceptance(8) as note:
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=1800.0))
         samples, fs = record.channels[0].samples, record.sampling_rate_hz
-        median_new = ptpp.time_detector("ptpp", samples, fs, repeats=5)
-        assert median_new < 18.0
-        median_old = ptpp.time_detector("pt", samples, fs, repeats=5)
-        ratio = median_new / median_old
-        note(f"30-min record: median {median_new:.3f} s over 5 runs "
-             f"(budget 18 s); ptpp/pt ratio {ratio:.2f} (informational)")
+        medians = ptpp.time_detectors(samples, fs, repeats=5)
+        assert medians["ptpp"] < 18.0
+        ratio = medians["ptpp"] / medians["pt"]
+        note(f"30-min record: median {medians['ptpp']:.3f} CPU s over 5 "
+             f"runs (budget 18 s); ptpp/pt ratio {ratio:.2f} "
+             f"(informational)")

@@ -38,6 +38,8 @@ class TestPtConfig:
         dict(refractory_ms=math.inf),
         dict(rr_low_frac=1.1, rr_high_frac=1.1),
         dict(rr_high_frac=2.0),
+        dict(twave_slope_ratio=1.0),
+        dict(twave_slope_ratio=5.0),
     ])
     def test_validate_rejects(self, bad):
         with pytest.raises(ptpp.ConfigError):

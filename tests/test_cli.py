@@ -360,12 +360,16 @@ class TestDetectCommand:
                      "--set", "detector.min_peak_separation_ms=-1",
                      "-o", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("pair,message", [
+        ("pt.refractory_ms=-1",
+         "refractory_ms must be positive and finite, got -1.0"),
+        ("pt.twave_slope_ratio=1", "twave_slope_ratio must lie in (0, 1)"),
+    ])
     def test_invalid_pt_config_reported_before_inputs(self, tmp_path,
-                                                      capsys):
+                                                      capsys, pair, message):
         assert main(["detect", str(tmp_path / "nope.csv"), "--detector",
-                     "ptpp", "--set", "pt.refractory_ms=-1"]) == 2
-        assert ("refractory_ms must be positive and finite, got -1.0"
-                in capsys.readouterr().err)
+                     "ptpp", "--set", pair]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("file_fs,argv,fs", [
         (None, ["--set", "eval.fs=250"], 250.0),
@@ -650,8 +654,10 @@ class TestBenchCommand:
         out = tmp_path / "bench.csv"
         assert main(["bench", str(header), "--channel", "V5",
                      "-o", str(out)]) == 0
-        assert timed == [("ptpp", [0.035] * 600, 250.0)] * 5 + \
-            [("pt", [0.035] * 600, 250.0)] * 5
+        # Five rounds, the detectors' order reversed on odd rounds.
+        assert [t[0] for t in timed] == ["ptpp", "pt", "pt", "ptpp"] * 2 + \
+            ["ptpp", "pt"]
+        assert all(t[1:] == ([0.035] * 600, 250.0) for t in timed)
         _, rows = read_csv(out)
         assert [row[1:4] for row in rows] == [["r", "600", "250.0"]] * 2
 
@@ -691,6 +697,10 @@ class TestNumericInputs:
         (["detect", "{csv}", "--set", "pipeline.mwi_window_ms=inf"], 2),
         (["detect", "{csv}", "--detector", "pt",
           "--set", "pt.refractory_ms=nan"], 2),
+        (["detect", "{csv}", "--detector", "pt",
+          "--set", "pt.twave_slope_ratio=1"], 2),
+        (["detect", "{csv}", "--detector", "pt",
+          "--set", "pt.twave_slope_ratio=5"], 2),
         (["detect", "{csv}", "--fs", "nan"], 2),
         (["detect", "{csv}", "--set", "eval.fs=inf"], 2),
         (["eval", "{csv}", "--annotations", "{ann}", "--tolerance-ms", "nan"],
@@ -722,6 +732,12 @@ class TestNumericInputs:
         (["stages", "{csv}", "-o", "{nodir_out}"], 2),
         (["detect", "{x2_hea}"], 3),
         (["detect", "{two_files_hea}"], 3),
+        (["detect", "{bare_sig_hea}"], 3),
+        (["detect", "{mixed_fmt_hea}"], 3),
+        # Interior maxima of the integrated signal below zero.
+        (["detect", "{dip_csv}", "--fs", "128"], 0),
+        (["detect", "{dip_csv}", "--fs", "128", "--detector", "pt"], 0),
+        (["compare", "{dip_csv}", "--fs", "128", "--annotations", "{ann}"], 0),
         (["detect", "{csv}", "--set", "pipeline.zero_phase=true"], 2),
         # Band-passes whose centre delay is longer than the record.
         (["detect", "{csv}", "--set", "pipeline.filter_order=12",
@@ -781,9 +797,13 @@ class TestNumericInputs:
         (tmp_path / "gap212.dat").write_bytes(encode212(gap.ravel()))
         gap[1234, 1] = -32768
         (tmp_path / "gap16.dat").write_bytes(gap.astype("<i2").tobytes())
+        dip = np.zeros(2000)
+        dip[[1942, 1945, 1976, 1994]] = [50.0, 500.0, 500.0, -3000.0]
+        np.savetxt(tmp_path / "dip.csv", dip)
         paths = {"csv": clean["csv"], "ann": clean["ann"], "rec": rec,
                  "rec_ann": rec_ann, "spec_ann": spec_ann,
-                 "spec_stem": tmp_path / "spec", "tmp": tmp_path}
+                 "spec_stem": tmp_path / "spec", "tmp": tmp_path,
+                 "dip_csv": tmp_path / "dip.csv"}
         for fmt in (212, 16):
             paths[f"gap{fmt}_hea"] = tmp_path / f"gap{fmt}.hea"
             paths[f"gap{fmt}_hea"].write_text(make_header(
@@ -797,7 +817,10 @@ class TestNumericInputs:
                 ("dot_hea", "360", [". 212 200 12 0 0 0 0 MLII"]),
                 ("x2_hea", "360", ["r.dat 212x2 200 12 0 0 0 0 MLII"]),
                 ("two_files_hea", "360",
-                 [line, "s.dat 212 200 12 0 0 0 0 V5"])):
+                 [line, "s.dat 212 200 12 0 0 0 0 V5"]),
+                ("bare_sig_hea", "360", ["r.dat"]),
+                ("mixed_fmt_hea", "360",
+                 [line, "r.dat 16 200 16 0 0 0 0 V5"])):
             paths[name] = tmp_path / f"{name}.hea"
             paths[name].write_text(make_header("r", float(fs), 10, lines))
         # Files that cannot be read or written; stderr names each one.

@@ -119,6 +119,24 @@ class TestDetectorConfig:
 
 
 class TestFindCandidates:
+    @pytest.mark.parametrize("detector,peaks", [("ptpp", [1976]),
+                                                ("pt", [1945])])
+    def test_record_whose_integrated_signal_dips_below_zero(self, detector,
+                                                           peaks):
+        # Spikes near the record end: the smoothing kernel's negative taps
+        # leave interior maxima of the ptpp integrated signal below zero,
+        # which once ended the run with "peak amplitude must be >= 0".
+        x = np.zeros(2000)
+        x[[1942, 1945, 1976, 1994]] = [50.0, 500.0, 500.0, -3000.0]
+        cfg = ptpp.default_pipeline_config(detector)
+        integ = ptpp.run_pipeline(x, 128.0, cfg).integrated
+        maxima = np.nonzero((integ[1:-1] > integ[:-2])
+                            & (integ[1:-1] >= integ[2:]))[0] + 1
+        assert (integ[maxima].min() < 0) == (detector == "ptpp")
+        run = ptpp.run_detector(detector, x, 128.0)
+        np.testing.assert_array_equal(run.r_peaks, peaks)
+        assert run.provenance == ["threshold1"]
+
     def test_isolated_maxima(self):
         # at fs=1 the 231 ms separation rounds down to a single sample
         out = ptpp.find_candidates(np.array([0.0, 1.0, 0.0, 2.0, 0.0]), 1.0)
@@ -156,14 +174,15 @@ class TestFindCandidates:
     @hypothesis.settings(deadline=None, max_examples=300)
     @hypothesis.given(
         # Few levels make ties and plateaus common; lengths 0-3 have no
-        # interior sample or a single one.
+        # interior sample or a single one. Maxima below zero are dropped.
         x=st.one_of(
             hnp.arrays(np.float64, st.integers(0, 80),
-                       elements=st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan])),
+                       elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0,
+                                                 3.0, np.nan])),
             hnp.arrays(np.float64, st.integers(0, 3),
-                       elements=st.floats(0, 100)),
+                       elements=st.floats(-100, 100)),
             hnp.arrays(np.float64, st.integers(4, 200),
-                       elements=st.floats(0, 100))),
+                       elements=st.floats(-100, 100))),
         min_sep=st.one_of(st.integers(1, 3), st.integers(4, 60)),
         block=st.sampled_from([1, 3, ptpp.detector._BLOCK_ITEMS]))
     def test_matches_bisect_reference(self, x, min_sep, block):

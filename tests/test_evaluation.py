@@ -1,5 +1,7 @@
 """Matching, metrics, synthetic-record generation, and timing tests."""
 
+import time
+
 import hypothesis
 import hypothesis.strategies as st
 import numpy as np
@@ -364,20 +366,24 @@ class TestSynthEcg:
 class TestTimeDetector:
     def test_positive_and_reasonable(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=10.0))
-        t = ptpp.time_detector("ptpp", record.channels[0].samples,
-                               record.sampling_rate_hz)
-        assert 0.0 < t < 5.0
+        medians = ptpp.time_detectors(record.channels[0].samples,
+                                      record.sampling_rate_hz)
+        assert list(medians) == list(ptpp.DETECTORS)
+        assert all(0.0 < t < 5.0 for t in medians.values())
 
     def test_unknown_detector(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=10.0))
         with pytest.raises(ptpp.ConfigError):
-            ptpp.time_detector("nope", record.channels[0].samples,
-                               record.sampling_rate_hz)
+            ptpp.run_detector("nope", record.channels[0].samples,
+                              record.sampling_rate_hz)
 
     def test_decision_phases_within_2x(self):
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=60.0))
-        samples, fs = record.channels[0].samples, record.sampling_rate_hz
-        t_new = ptpp.time_detector("ptpp", samples, fs)
-        t_old = ptpp.time_detector("pt", samples, fs)
-        ratio = t_new / t_old
+        medians = ptpp.time_detectors(record.channels[0].samples,
+                                      record.sampling_rate_hz)
+        ratio = medians["ptpp"] / medians["pt"]
         assert 0.5 <= ratio <= 2.0
+
+    def test_reads_cpu_time_not_wall_time(self):
+        _, elapsed = ptpp.evaluation.timed_call(time.sleep, 0.2)
+        assert elapsed < 0.1

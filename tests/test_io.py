@@ -928,6 +928,18 @@ class TestLoadWfdbRecord:
         rec = ptpp.load_wfdb_record(tmp_path / "rec")
         assert rec.duration_samples == 1
 
+    @pytest.mark.parametrize("lines,error,message", [
+        (["q.dat"], ptpp.ParseError,
+         "line 2: signal line needs at least a file name and format code"),
+        (["q.dat 212 200 12 0 0 0 0 MLII", "q.dat 16 200 16 0 0 0 0 V5"],
+         ptpp.UnsupportedFormatError, r"mixed per-channel formats \[16, 212\]"),
+    ])
+    def test_header_refused_before_signal_read(self, tmp_path, lines, error,
+                                               message):
+        (tmp_path / "q.hea").write_text(make_header("q", 360, 10, lines))
+        with pytest.raises(error, match=message):
+            ptpp.load_wfdb_record(tmp_path / "q.hea")
+
     def test_unsupported_signal_format(self, tmp_path):
         (tmp_path / "r8.hea").write_text(make_header("r8", 360, 2, ["r8.dat 80"]))
         (tmp_path / "r8.dat").write_bytes(b"\x00\x00")
