@@ -324,7 +324,10 @@ def time_detectors(samples: np.ndarray, fs: float, *, repeats: int = 5,
                    configs: dict | None = None) -> dict[str, float]:
     """Median CPU seconds of ``run_detector`` per detector over ``repeats``
     rounds, each running every detector once, in reverse order on odd
-    rounds. ``configs`` maps a detector to its ``run_detector`` keywords."""
+    rounds. ``configs`` maps a detector to its ``run_detector`` keywords.
+    ``repeats`` below 1 is a :class:`ConfigError`: there is no median."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats!r}")
     times: dict[str, list] = {d: [] for d in DETECTORS}
     for r in range(repeats):
         for d in DETECTORS[::-1] if r % 2 else DETECTORS:

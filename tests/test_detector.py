@@ -118,6 +118,28 @@ class TestDetectorConfig:
         assert run(beats) == run(same_as)
 
 
+def _staircase(n_steps, gap, slope):
+    """``n_steps`` maxima ``gap`` samples apart, each ``slope`` above the
+    one before it, on a zero floor."""
+    x = np.zeros(n_steps * gap + 1)
+    x[1::gap][:n_steps] = 100.0 + slope * np.arange(n_steps)
+    return x
+
+
+def _two_staircases(n_steps, gap, slope):
+    """Two staircases ``n_steps * gap`` zeros apart whose steps interleave
+    in amplitude if ``slope`` > 0, so the largest-first loop alternates
+    between them."""
+    a = _staircase(n_steps, gap, 2.0 * slope)
+    b = a.copy()
+    b[1::gap][:n_steps] += slope
+    return np.concatenate([a, np.zeros(n_steps * gap), b])
+
+
+def _white_noise(n, seed):
+    return np.abs(np.random.default_rng(seed).standard_normal(n))
+
+
 class TestFindCandidates:
     @pytest.mark.parametrize("detector,peaks", [("ptpp", [1976]),
                                                 ("pt", [1945])])
@@ -171,27 +193,100 @@ class TestFindCandidates:
             assert x[i] > x[i - 1] or x[i] >= x[i + 1]  # an interior maximum
             assert 0 < i < len(x) - 1
 
-    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.settings(deadline=None, max_examples=400)
     @hypothesis.given(
-        # Few levels make ties and plateaus common; lengths 0-3 have no
-        # interior sample or a single one. Maxima below zero are dropped.
         x=st.one_of(
+            # Few levels make ties and plateaus common; lengths 0-3 have no
+            # interior sample or a single one. Maxima below zero are dropped,
+            # and so is NaN; +inf is a maximum.
             hnp.arrays(np.float64, st.integers(0, 80),
-                       elements=st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0,
-                                                 3.0, np.nan])),
+                       elements=st.sampled_from([-np.inf, -2.0, -1.0, 0.0,
+                                                 1.0, 2.0, 3.0, np.inf,
+                                                 np.nan])),
             hnp.arrays(np.float64, st.integers(0, 3),
                        elements=st.floats(-100, 100)),
             hnp.arrays(np.float64, st.integers(4, 200),
-                       elements=st.floats(-100, 100))),
-        min_sep=st.one_of(st.integers(1, 3), st.integers(4, 60)),
-        block=st.sampled_from([1, 3, ptpp.detector._BLOCK_ITEMS]))
-    def test_matches_bisect_reference(self, x, min_sep, block):
-        # At 1000 Hz a spacing of min_sep ms is exactly min_sep samples.
-        cfg = ptpp.DetectorConfig(min_peak_separation_ms=float(min_sep))
-        with mock.patch.object(ptpp.detector, "_BLOCK_ITEMS", block):
-            out = ptpp.find_candidates(x, 1000.0, cfg)
-        np.testing.assert_array_equal(out, thinned_maxima_reference(x, min_sep))
+                       elements=st.floats(-100, 100)),
+            # Monotone or level staircases: the rounds stall on them.
+            st.builds(_staircase, st.integers(1, 80), st.integers(2, 6),
+                      st.sampled_from([-1.0, 0.0, 1.0])),
+            st.builds(_two_staircases, st.integers(1, 40), st.integers(2, 6),
+                      st.sampled_from([0.0, 1.0])),
+            # Dense maxima: about one sample in three.
+            st.builds(_white_noise, st.integers(3, 600),
+                      st.integers(0, 2**32 - 1))),
+        fs=st.one_of(st.sampled_from([128.0, 250.0, 360.0, 1000.0]),
+                     st.floats(128.0, 1000.0)),
+        # Up to a few samples, a record's worth, and far past any record,
+        # where the spacing is clipped at len(x) + 1.
+        sep_ms=st.one_of(st.floats(1.0, 30.0), st.floats(30.0, 400.0),
+                         st.floats(1e3, 1e300)),
+        block=st.sampled_from([1, 3, ptpp.detector._BLOCK_ITEMS]),
+        finishes=st.none())
+    # Eight steps 10 samples apart, spacing 11: each round keeps the top
+    # step and marks the one below, two of eight, then of six, four and two,
+    # never under a quarter, so the rounds decide everything. With nine, two
+    # of nine is under a quarter: the largest-first loop finishes seven.
+    @hypothesis.example(x=_staircase(8, 10, 1.0), fs=1000.0, sep_ms=11.0,
+                        block=3, finishes=False)
+    @hypothesis.example(x=_staircase(9, 10, 1.0), fs=1000.0, sep_ms=11.0,
+                        block=3, finishes=True)
+    # Steps 2 samples apart, spacing 10: the finish keeps steps exactly the
+    # spacing apart, up and down the stairs, and between two staircases.
+    @hypothesis.example(x=_staircase(40, 2, 1.0), fs=1000.0, sep_ms=10.0,
+                        block=3, finishes=True)
+    @hypothesis.example(x=_staircase(40, 2, -1.0), fs=1000.0, sep_ms=10.0,
+                        block=3, finishes=True)
+    @hypothesis.example(x=_two_staircases(40, 2, 1.0), fs=1000.0, sep_ms=10.0,
+                        block=3, finishes=True)
+    def test_matches_bisect_reference(self, x, fs, sep_ms, block, finishes):
+        cfg = ptpp.DetectorConfig(min_peak_separation_ms=sep_ms)
+        finish = mock.Mock(wraps=ptpp.detector._thin_greedily)
+        with mock.patch.object(ptpp.detector, "_BLOCK_ITEMS", block), \
+                mock.patch.object(ptpp.detector, "_thin_greedily", finish):
+            out = ptpp.find_candidates(x, fs, cfg)
+        reference = thinned_maxima_reference(x, ptpp.ms_to_samples(sep_ms, fs))
+        np.testing.assert_array_equal(out, reference)
         assert out.dtype == np.int64
+        if finishes is not None:
+            assert finish.called == finishes
+
+    @hypothesis.settings(deadline=None, max_examples=300)
+    @hypothesis.given(
+        gaps=st.lists(st.integers(1, 6), max_size=40),
+        levels=st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf]),
+                        min_size=40, max_size=40),
+        min_sep=st.integers(1, 12))
+    # The outer maxima lie exactly the spacing apart, so they do not face
+    # each other, and each outranks the middle one: both win.
+    @hypothesis.example(gaps=[1, 1], levels=[2.0, 1.0, 2.0] + [0.0] * 37,
+                        min_sep=2)
+    def test_round_winners_outrank_every_near_maximum(self, gaps, levels,
+                                                      min_sep):
+        pos = np.cumsum([1] + gaps)
+        val = np.array(levels[:len(pos)])
+        keep = ptpp.detector._round_winners(pos, val, min_sep)
+        # A later maximum outranks only if larger, an earlier one if larger
+        # or equal.
+        expected = [all(val[j] <= val[i] if j > i else val[j] < val[i]
+                        for j in range(len(pos))
+                        if j != i and abs(pos[j] - pos[i]) < min_sep)
+                    for i in range(len(pos))]
+        np.testing.assert_array_equal(keep, expected)
+
+    @pytest.mark.parametrize("make,peak_per_byte", [
+        # |white noise|: a maximum about every third sample.
+        (lambda: _white_noise(1_000_000, 0), 1.30),
+        # 100,000 rising steps: the rounds stall at once, and the
+        # largest-first loop finishes all but a few dozen.
+        (lambda: _staircase(100_000, 2, 1.0), 2.10)],
+        ids=["noise", "staircase"])
+    def test_traced_peak(self, make, peak_per_byte):
+        # The maxima's positions and amplitudes, one round's masks and index
+        # lists, or the finish's order; none of them outlives its use.
+        x = make()
+        peak = _traced_peak(lambda s: ptpp.find_candidates(s, 360.0), x)
+        assert peak <= peak_per_byte * x.nbytes
 
 
 class TestInitThresholds:

@@ -1,6 +1,7 @@
 """Matching, metrics, synthetic-record generation, and timing tests."""
 
 import time
+from unittest import mock
 
 import hypothesis
 import hypothesis.strategies as st
@@ -383,6 +384,14 @@ class TestTimeDetector:
                                       record.sampling_rate_hz)
         ratio = medians["ptpp"] / medians["pt"]
         assert 0.5 <= ratio <= 2.0
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_rounds_is_a_config_error(self, repeats):
+        # Refused before any detector runs: nothing here would time.
+        with mock.patch.object(ptpp.evaluation, "run_detector") as run, \
+                pytest.raises(ptpp.ConfigError, match="repeats must be >= 1"):
+            ptpp.time_detectors(np.zeros(1000), 360.0, repeats=repeats)
+        run.assert_not_called()
 
     def test_reads_cpu_time_not_wall_time(self):
         _, elapsed = ptpp.evaluation.timed_call(time.sleep, 0.2)

@@ -14,8 +14,9 @@ That is perfbench's ``peak_rss_mb``, without the ruler and the timing, so
 many interpreters fit in the time of one benchmark run. As in perfbench's
 workers, the numeric libraries run one thread each. Only exit codes are
 checked here; perfbench checks the outputs. The last line of standard
-output is the JSON result: each side's readings in round order, and their
-medians. Linux only (``/proc/self/status``).
+output is the JSON result: the sides' ``src`` directories, each side's
+readings in round order and their medians, all in ``--src`` order, so one
+tree given twice is an A/A run. Linux only (``/proc/self/status``).
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def main(argv=None) -> int:
         child(args.child, args.passes)
         return 0
     srcs = [p.resolve() for p in args.src]
-    readings: dict[str, list[float]] = {str(s): [] for s in srcs}
+    readings: list[list[float]] = [[] for _ in srcs]
     with tempfile.TemporaryDirectory(prefix="rss_probe_") as tmp:
         work = Path(tmp)
         ops_path = work / "ops.json"
@@ -101,11 +102,11 @@ def main(argv=None) -> int:
                      "--passes", str(args.passes), "--child", str(ops_path)],
                     cwd=cwd, env=env, check=True, capture_output=True,
                     text=True).stdout
-                readings[str(src)].append(round(float(out.split()[-1]), 4))
+                readings[i].append(round(float(out.split()[-1]), 4))
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
-        "readings_mb": readings,
-        "medians_mb": {s: statistics.median(v) for s, v in readings.items()},
+        "srcs": [str(s) for s in srcs], "readings_mb": readings,
+        "medians_mb": [statistics.median(v) for v in readings],
     }))
     return 0
 
