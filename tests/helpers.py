@@ -8,14 +8,17 @@ candidate thinning and the band-channel amplitude replaced (oracles for their
 vectorised forms), the full-copy convolution, derivative and WFDB decoders
 (oracles for their leaner forms), the per-row ``stages`` and ``save_csv``
 writers (oracles for the block writer), the per-section scipy band-pass
-delay (oracle for its closed form), and the locator for the optional
-real-record spot check.
+delay (oracle for its closed form), both decision loops written out with the
+public threshold rules (oracle for the shared loop), and the locator for the
+optional real-record spot check.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -280,6 +283,178 @@ def band_peak_reference(filtered, i: int, align: int, fs: float) -> float:
     c = min(max(i - align, 0), n - 1)
     lo = max(0, c - half_win)
     return float(abs_filt[lo:min(n, c + half_win + 1)].max())
+
+
+# ---------------------------------------------------------------------------
+# The decision loops written out literally (oracle for ``_decide``): one
+# plain loop per detector, every threshold step through the public rules.
+
+def _halved_reference(state: ptpp.ThresholdState) -> ptpp.ThresholdState:
+    threshold1 = 0.5 * state.threshold1
+    return dataclasses.replace(state, threshold1=threshold1,
+                               threshold2=state.t2_ratio * threshold1)
+
+
+def decide_reference(stages: ptpp.StageOutputs, fs: float, cfg,
+                     detector: str):
+    """``(DetectionResult, trace)`` of ``detect`` (``detector`` "ptpp",
+    ``cfg`` a ``DetectorConfig``) or ``detect_pt`` ("pt", a ``PtConfig``)."""
+    if detector == "ptpp":
+        return _decide_ptpp_reference(stages, fs, cfg)
+    return _decide_pt_reference(stages, fs, cfg)
+
+
+def _align(stages: ptpp.StageOutputs) -> int:
+    # The band-passed signal lags the integrated one by every later stage.
+    delays = stages.stage_delays_samples
+    return sum(v for k, v in delays.items() if k != "bandpass")
+
+
+def _decide_ptpp_reference(stages, fs, cfg):
+    cfg.validate()
+    integ = np.asarray(stages.integrated, dtype=np.float64)
+    filt = np.asarray(stages.filtered, dtype=np.float64)
+    align = _align(stages)
+    candidates = [int(c) for c in ptpp.find_candidates(integ, fs, cfg)]
+    state_i = ptpp.init_thresholds(integ, fs, cfg, t2_ratio=0.4)
+    state_f = ptpp.init_thresholds(np.abs(filt), fs, cfg, t2_ratio=0.4)
+    min_sep = ptpp.ms_to_samples(cfg.min_peak_separation_ms, fs)
+    tw_rr = ptpp.ms_to_samples(cfg.twave_window_ms, fs)
+    blank = ptpp.ms_to_samples(cfg.post_peak_blank_ms, fs)
+    sb_abs = ptpp.ms_to_samples(cfg.searchback_abs_s * 1000.0, fs)
+    spike_gap = ptpp.ms_to_samples(cfg.spike_recovery_s * 1000.0, fs)
+    rrs: collections.deque = collections.deque(maxlen=cfg.rr_history_beats)
+    beats: list[int] = []
+    provenance: list[str] = []
+    rejected: list[tuple[int, str]] = []
+    trace: list = []
+
+    def add_beat(j: int, tag: str) -> None:
+        # The RR band (0, inf) holds every interval: no halving here.
+        if beats:
+            rrs.append(j - beats[-1])
+        beats.append(j)
+        provenance.append(tag)
+
+    for k, i in enumerate(candidates):
+        peak_i = float(integ[i])
+        peak_f = band_peak_reference(filt, i, align, fs)
+        rr = i - beats[-1] if beats else None
+        rr_mean = (sum(rrs) / len(rrs) if len(rrs) == rrs.maxlen else None)
+
+        passes = peak_i > state_i.threshold1 and peak_f > state_f.threshold1
+        is_twave = False
+        if passes and rr is not None and (
+                rr < tw_rr or (rr_mean is not None and rr < 0.5 * rr_mean)):
+            cur = ptpp.mean_slope(filt, max(0, i - align), fs, cfg)
+            prev = ptpp.mean_slope(filt, max(0, beats[-1] - align), fs, cfg)
+            is_twave = cur < cfg.twave_slope_ratio * prev
+        accept = passes and not is_twave
+
+        inserted_at = None
+        if rr is not None and (rr > sb_abs or (
+                rr_mean is not None
+                and rr > cfg.searchback_rr_factor * rr_mean)):
+            left = beats[-1] + blank
+            right = i - min_sep if accept else i
+            if left <= right:
+                j = left + int(np.argmax(integ[left:right + 1]))
+                wmax = float(integ[j])
+                around = integ[beats[-3:] + candidates[k:k + 3]]
+                tag = None
+                if wmax > ptpp.threshold3(state_i, float(np.mean(around))):
+                    tag = "searchback_t3"
+                elif (rr > spike_gap
+                      and wmax > cfg.spike_recovery_t2_frac
+                      * state_i.threshold2):
+                    tag = "spike_recovery"
+                if tag is not None:
+                    state_i = ptpp.update_rule2(state_i, wmax)
+                    state_f = ptpp.update_rule2(
+                        state_f, band_peak_reference(filt, j, align, fs))
+                    add_beat(j, tag)
+                    inserted_at = j
+
+        if accept:
+            state_i = ptpp.update_rule1(state_i, peak_i, is_signal=True)
+            state_f = ptpp.update_rule1(state_f, peak_f, is_signal=True)
+            add_beat(i, "threshold1")
+        elif is_twave or inserted_at != i:
+            rejected.append((i, "t_wave" if is_twave else "below_threshold"))
+            state_i = ptpp.update_rule1(state_i, peak_i, is_signal=False)
+            state_f = ptpp.update_rule1(state_f, peak_f, is_signal=False)
+        trace.append((i, state_i, state_f))
+
+    return ptpp.DetectionResult(np.asarray(beats, dtype=np.int64), provenance,
+                                rejected), trace
+
+
+def _decide_pt_reference(stages, fs, cfg):
+    cfg.validate()
+    integ = np.asarray(stages.integrated, dtype=np.float64)
+    filt = np.asarray(stages.filtered, dtype=np.float64)
+    align = _align(stages)
+    spacing = ptpp.DetectorConfig(min_peak_separation_ms=cfg.refractory_ms)
+    candidates = [int(c) for c in ptpp.find_candidates(integ, fs, spacing)]
+    state = ptpp.init_thresholds(integ, fs, t2_ratio=0.5)
+    refractory = ptpp.ms_to_samples(cfg.refractory_ms, fs)
+    tw_rr = ptpp.ms_to_samples(cfg.twave_window_ms, fs)
+    rrs: collections.deque = collections.deque(maxlen=8)
+    beats: list[int] = []
+    provenance: list[str] = []
+    rejected: list[tuple[int, str]] = []
+    trace: list = []
+
+    def add_beat(j: int, tag: str) -> None:
+        nonlocal state
+        if beats:
+            rr = j - beats[-1]
+            if len(rrs) == rrs.maxlen:
+                rr_mean = sum(rrs) / len(rrs)
+                if not (cfg.rr_low_frac * rr_mean <= rr
+                        <= cfg.rr_high_frac * rr_mean):
+                    state = _halved_reference(state)
+            rrs.append(rr)
+        beats.append(j)
+        provenance.append(tag)
+
+    for i in candidates:
+        peak = float(integ[i])
+        rr = i - beats[-1] if beats else None
+        rr_mean = (sum(rrs) / len(rrs) if len(rrs) == rrs.maxlen else None)
+
+        passes = peak > state.threshold1
+        is_twave = False
+        if passes and rr is not None and rr < tw_rr:
+            cur = ptpp.mean_slope(filt, max(0, i - align), fs)
+            prev = ptpp.mean_slope(filt, max(0, beats[-1] - align), fs)
+            is_twave = cur < cfg.twave_slope_ratio * prev
+        accept = passes and not is_twave
+
+        inserted_at = None
+        if (rr is not None and rr_mean is not None
+                and rr > cfg.searchback_rr_factor * rr_mean):
+            left = beats[-1] + refractory
+            right = i - refractory if accept else i
+            if left <= right:
+                j = left + int(np.argmax(integ[left:right + 1]))
+                if float(integ[j]) > state.threshold2:
+                    # Rule 1 first: the halving in add_beat outlives it.
+                    state = ptpp.update_rule1(state, float(integ[j]),
+                                              is_signal=True)
+                    add_beat(j, "searchback_t2")
+                    inserted_at = j
+
+        if accept:
+            state = ptpp.update_rule1(state, peak, is_signal=True)
+            add_beat(i, "threshold1")
+        elif is_twave or inserted_at != i:
+            rejected.append((i, "t_wave" if is_twave else "below_threshold"))
+            state = ptpp.update_rule1(state, peak, is_signal=False)
+        trace.append((i, state))
+
+    return ptpp.DetectionResult(np.asarray(beats, dtype=np.int64), provenance,
+                                rejected), trace
 
 
 # ---------------------------------------------------------------------------

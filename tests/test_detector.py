@@ -22,7 +22,7 @@ import ptpp
 from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
                            VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _window_argmax)
 
-from helpers import (band_peak_reference, localize_reference,
+from helpers import (band_peak_reference, decide_reference, localize_reference,
                      thinned_maxima_reference)
 
 FS = 100.0  # scenario rate: 231 ms -> 23 samples, 360 ms -> 36, 70 ms -> 7
@@ -765,6 +765,153 @@ class TestDecisionLoop:
             scaled = ptpp.detect(ptpp.run_pipeline(alpha * x, 360.0), 360.0)
             np.testing.assert_array_equal(scaled.r_peaks, base.r_peaks)
             assert scaled.provenance == base.provenance
+
+
+def _below_zero_between_beats(apices, height, n, floor):
+    """Humps on an integrated signal that sits at ``floor`` between them and
+    at -10 through the 2 s initialisation window, so threshold1 and
+    threshold2 start, and stay, below zero; the band-passed channel holds
+    unit humps on zero."""
+    integ = np.full(n, floor)
+    integ[:200] = -10.0
+    filt = np.zeros(n)
+    for a in apices:
+        add_triangle(integ, a, height)
+        add_triangle(filt, a, 1.0)
+    return make_stages(integ, filt)
+
+
+class TestInheritedRefusals:
+    """A search-back window can lie wholly below zero and still clear a bar
+    below zero; the find then fails the threshold rules' ``peak >= 0``
+    check, and the run is refused rather than fed a negative peak. The
+    same record with the window at +0.001 shows which branch finds it.
+
+    The other refusal, threshold3's ``meansb >= 0``, cannot be reached
+    through the loop: meansb averages the integrated amplitude at beats and
+    candidates, candidates are maxima >= 0, and every beat is a candidate
+    or a find that has passed the ``peak >= 0`` check."""
+
+    CASES = {
+        # rr 125 > 1 s: threshold3 (about -0.2) is cleared.
+        "ptpp-searchback": ([25, 125, 225, 350], 1.0, 500, ptpp.detect,
+                            VIA_SEARCHBACK),
+        # Tall beats keep threshold3 above the window; rr 155 > 1.4 s lets
+        # 0.2 x threshold2 (about -0.18) take it.
+        "ptpp-spike": ([25, 125, 225, 380], 8.0, 500, ptpp.detect,
+                       VIA_SPIKE_RECOVERY),
+        # Nine beats 1 s apart, then rr 275 > 1.66 x rr_mean: threshold2
+        # (about -1.6) is the bar.
+        "pt-searchback": (list(range(25, 1000, 100)) + [1200], 1.0, 1300,
+                          ptpp.detect_pt, "searchback_t2"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_find_below_zero_is_refused(self, case):
+        apices, height, n, run, tag = self.CASES[case]
+        found = run(_below_zero_between_beats(apices, height, n, 0.001), FS)
+        assert tag in found.provenance
+        with pytest.raises(ptpp.ProcessingError,
+                           match=r"^peak amplitude must be >= 0, got -0\.001$"):
+            run(_below_zero_between_beats(apices, height, n, -0.001), FS)
+
+
+def _schedule(values, lo: float, hi: float):
+    """A constant, a per-beat cycle or a two-piece schedule of ``values``."""
+    return st.one_of(
+        values,
+        st.lists(values, min_size=2, max_size=8),
+        st.tuples(st.floats(lo, hi), values, values).map(
+            lambda t: [[0.0, t[1]], [t[0], t[2]]]))
+
+
+# Records that reach every branch: shrunk and missing beats (search-back,
+# spike recovery), rate swings and pauses (halving), tall late T waves
+# (the slope test), spikes inside and after the initialisation window.
+synth_specs = st.builds(
+    ptpp.SynthSpec,
+    fs=st.sampled_from([128.0, 250.0, 360.0]),
+    duration_s=st.floats(6.0, 30.0),
+    heart_rate_bpm=st.one_of(
+        st.floats(35.0, 170.0),
+        st.tuples(st.floats(2.0, 20.0), st.floats(35.0, 170.0),
+                  st.floats(35.0, 170.0)).map(
+            lambda t: [[0.0, t[1]], [t[0], t[2]]])),
+    qrs_amplitude_mv=_schedule(
+        st.sampled_from([0.0, 0.1, 0.3, 0.45]) | st.floats(0.2, 3.0),
+        2.0, 20.0),
+    t_wave_amplitude=st.floats(0.0, 1.6),
+    t_wave_delay_ms=st.floats(150.0, 450.0),
+    noise_snr_db=st.none() | st.floats(3.0, 30.0),
+    spike=st.none() | st.tuples(st.floats(0.0, 10.0), st.floats(2.0, 12.0)),
+    rr_jitter_frac=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2 ** 16),
+)
+_OFF = st.just(math.inf)
+detector_configs = st.builds(
+    ptpp.DetectorConfig,
+    min_peak_separation_ms=st.floats(120.0, 350.0),
+    twave_window_ms=st.floats(150.0, 500.0),
+    twave_slope_window_ms=st.floats(20.0, 120.0),
+    twave_slope_ratio=st.floats(0.1, 0.95),
+    searchback_rr_factor=st.floats(1.05, 2.5),
+    searchback_abs_s=st.floats(0.4, 2.5) | _OFF,
+    spike_recovery_s=st.floats(0.6, 3.0) | _OFF,
+    spike_recovery_t2_frac=st.floats(0.02, 0.8),
+    rr_history_beats=st.integers(1, 12),
+    init_window_s=st.floats(0.5, 3.0),
+    post_peak_blank_ms=st.floats(100.0, 450.0),
+)
+pt_configs = st.builds(
+    ptpp.PtConfig,
+    refractory_ms=st.floats(100.0, 320.0),
+    twave_window_ms=st.floats(150.0, 500.0),
+    twave_slope_ratio=st.floats(0.1, 0.95),
+    searchback_rr_factor=st.floats(1.05, 2.5),
+    rr_low_frac=st.floats(0.4, 0.99),
+    rr_high_frac=st.floats(1.0, 1.8),
+)
+
+
+def _decision(run):
+    """What a decision pass yields, refusals included, in comparable form."""
+    trace: list = []
+    try:
+        result = run(trace)
+    except ptpp.PtppError as exc:
+        return type(exc), str(exc)
+    return (result.r_peaks.tolist(), result.r_peaks.dtype, result.provenance,
+            result.rejected, [repr(entry) for entry in trace])
+
+
+class TestDecideReference:
+    """Both detectors decide exactly as the loops of
+    ``helpers.decide_reference`` do, which step every threshold through the
+    public rules: the same peaks, tags and rejects, and the same repr of
+    every trace entry."""
+
+    @hypothesis.settings(deadline=None, max_examples=200)
+    @hypothesis.given(spec=synth_specs, cfg=detector_configs,
+                      pt_cfg=pt_configs)
+    def test_matches_the_literal_loops(self, spec, cfg, pt_cfg):
+        record, _ = ptpp.synth_ecg(spec)
+        x, fs = record.channels[0].samples, record.sampling_rate_hz
+        for detector, config, run in (("ptpp", cfg, ptpp.detect),
+                                      ("pt", pt_cfg, ptpp.detect_pt)):
+            try:
+                stages = ptpp.run_pipeline(
+                    x, fs, ptpp.default_pipeline_config(detector))
+            except ptpp.InputTooShortError:
+                continue
+            got = _decision(lambda trace: run(stages, fs, config, trace))
+
+            def reference(trace):
+                result, entries = decide_reference(stages, fs, config,
+                                                   detector)
+                trace.extend(entries)
+                return result
+
+            assert got == _decision(reference), detector
 
 
 class TestLocalize:
