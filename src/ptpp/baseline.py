@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .detector import (
     DetectionResult,
     DetectorConfig,
-    ThresholdState,
     _decide,
     _Policy,
     find_candidates,
@@ -82,7 +81,7 @@ def detect_pt(stages: StageOutputs, fs: float,
         twave_rr_mean_frac=0.0,
         halve_band=(cfg.rr_low_frac, cfg.rr_high_frac),
         searchback_tag=VIA_SEARCHBACK_T2,
-        searchback_bar=lambda state, meansb: state.threshold2,
-        insert_rule=ThresholdState.signal,
+        threshold3_bar=False,
+        fast_insert=False,
     )
     return _decide(stages, fs, candidates, shared, policy, trace)

@@ -19,7 +19,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -51,9 +50,11 @@ class ThresholdState:
     """Running signal/noise peak estimates and the thresholds they imply.
 
     ``threshold2 = t2_ratio * threshold1`` after every recompute; the ratio is
-    0.4 here and 0.5 for the classic detector. The decision loop updates one
-    state per channel in place, so a state is mutable and unhashable; the
-    public rules (:func:`update_rule1`, :func:`update_rule2`) return a copy.
+    0.4 here and 0.5 for the classic detector. The methods update a state in
+    place, and the public rules (:func:`update_rule1`, :func:`update_rule2`)
+    return an updated copy. The decision loop keeps the same four numbers per
+    channel as plain floats, updated by the same expressions in the same
+    order, and builds states only for its trace.
     """
 
     spk: float
@@ -79,10 +80,6 @@ class ThresholdState:
     def fast(self, peak: float) -> None:  # Rule 2
         self._recompute(peak, 0.75 * peak + 0.25 * self.spk,
                         0.75 * peak + 0.25 * self.npk)
-
-    def halve(self) -> None:
-        self.threshold1 = 0.5 * self.threshold1
-        self.threshold2 = self.t2_ratio * self.threshold1
 
     def threshold3(self, meansb: float) -> float:
         if meansb < 0:
@@ -330,9 +327,8 @@ class _Policy:
     twave_rr_mean_frac: float  # RR below this × rr_mean faces the slope test
     halve_band: tuple[float, float]  # RR outside this × rr_mean halves
     searchback_tag: str
-    # (integrated channel, mean surrounding amplitude) -> search-back bar
-    searchback_bar: Callable[[ThresholdState, float], float]
-    insert_rule: Callable[[ThresholdState, float], None]  # adapts to a find
+    threshold3_bar: bool  # the search-back bar: threshold3, else threshold2
+    fast_insert: bool  # a find adapts by Rule 2, else as a Rule 1 signal
 
 
 def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
@@ -362,21 +358,30 @@ def _blocks(*columns: np.ndarray):
 def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             cfg: DetectorConfig, policy: _Policy,
             trace: list | None) -> DetectionResult:
-    """The candidate loop both detectors run; see :func:`detect`."""
+    """The candidate loop both detectors run; see :func:`detect`.
+
+    Each channel's spk, npk, threshold1 and threshold2 are local floats,
+    updated by the expressions of :class:`ThresholdState`'s rules in their
+    order. Candidates are maxima >= 0 and band amplitudes are |x|, so of
+    the rules' ``peak >= 0`` checks only a search-back find's can fail."""
     p = policy
     integ = np.asarray(stages.integrated, dtype=np.float64)
     filt = np.asarray(stages.filtered, dtype=np.float64)
     delays = stages.stage_delays_samples  # filt lags integ by every later stage
     align = sum(delays.values()) - delays.get("bandpass", 0)
-    levels = [init_thresholds(integ, fs, cfg, p.t2_ratio)]
-    band = []  # if any, max |band-passed| within ±75 ms of candidates - align
-    if p.band_channel:
+    ratio = p.t2_ratio
+    lead = init_thresholds(integ, fs, cfg, ratio)
+    spk, npk, t1, t2 = lead.spk, lead.npk, lead.threshold1, lead.threshold2
+    peaks = integ[candidates]
+    band = p.band_channel
+    band_peaks = peaks  # read along, and unused, without a band channel
+    if band:  # max |band-passed| within ±75 ms of candidates - align
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
         abs_filt = np.abs(filt)
-        levels.append(init_thresholds(abs_filt, fs, cfg, p.t2_ratio))
-        band.append(abs_filt[_window_argmax(abs_filt, half_win,
-                                            candidates - align)])
-    lead = levels[0]
+        lv = init_thresholds(abs_filt, fs, cfg, ratio)
+        bspk, bnpk, bt1, bt2 = lv.spk, lv.npk, lv.threshold1, lv.threshold2
+        band_peaks = abs_filt[_window_argmax(abs_filt, half_win,
+                                             candidates - align)]
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
     blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
@@ -392,26 +397,22 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     n = operator.index(cfg.rr_history_beats)
     rr_mean: float | None = None
 
-    def add_beat(j: int, tag: str) -> None:
+    def add_beat(j: int, tag: str) -> bool:
+        """Record a beat; whether its RR lies outside the halving band."""
         nonlocal rr_mean
-        if rr_mean is not None and not (
-                low * rr_mean <= j - beat_idx[-1] <= high * rr_mean):
-            for lv in levels:
-                lv.halve()
+        halve = rr_mean is not None and not (
+            low * rr_mean <= j - beat_idx[-1] <= high * rr_mean)
         beat_idx.append(j)
         provenance.append(tag)
         if len(beat_idx) > n:
             rr_mean = (j - beat_idx[-1 - n]) / n
+        return halve
 
-    for k, (i, *peaks) in enumerate(_blocks(candidates, integ[candidates],
-                                            *band)):
+    for k, (i, peak, band_peak) in enumerate(_blocks(candidates, peaks,
+                                                     band_peaks)):
         rr = (i - beat_idx[-1]) if beat_idx else None
 
-        passes_amp = True
-        for peak, lv in zip(peaks, levels):
-            if not peak > lv.threshold1:
-                passes_amp = False
-                break
+        passes_amp = peak > t1 and (not band or band_peak > bt1)
         is_twave = False
         if passes_amp and rr is not None and (
                 rr < tw_rr or (rr_mean is not None
@@ -429,37 +430,81 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             if left <= right:
                 j = left + int(np.argmax(integ[left:right + 1]))
                 wmax = float(integ[j])
-                around = integ[beat_idx[-3:] + candidates[k:k + 3].tolist()]
+                bar = t2
+                if p.threshold3_bar:  # halfway to the surrounding amplitude
+                    around = integ[beat_idx[-3:] + candidates[k:k + 3].tolist()]
+                    meansb = float(np.add.reduce(around)) / len(around)
+                    if meansb < 0:
+                        raise ProcessingError(
+                            f"meansb must be >= 0, got {meansb}")
+                    bar = 0.5 * t2 + 0.5 * meansb
                 tag = None
-                mean_around = float(np.add.reduce(around)) / len(around)
-                if wmax > p.searchback_bar(lead, mean_around):
+                if wmax > bar:
                     tag = p.searchback_tag
                 elif (rr > spike_gap
-                      and wmax > cfg.spike_recovery_t2_frac * lead.threshold2):
+                      and wmax > cfg.spike_recovery_t2_frac * t2):
                     tag = VIA_SPIKE_RECOVERY
                 if tag is not None:
                     # Adapt before add_beat: a halving there must outlive
                     # this find's own threshold recompute.
-                    found = [wmax]
+                    if wmax < 0:
+                        raise ProcessingError(
+                            f"peak amplitude must be >= 0, got {wmax}")
                     if band:  # the windowed max every candidate gets
-                        found += abs_filt[_window_argmax(
-                            abs_filt, half_win, [j - align])].tolist()
-                    for lv, peak in zip(levels, found):
-                        p.insert_rule(lv, peak)
-                    add_beat(j, tag)
+                        found = float(abs_filt[_window_argmax(
+                            abs_filt, half_win, [j - align])[0]])
+                    if p.fast_insert:
+                        spk = 0.75 * wmax + 0.25 * spk
+                        npk = 0.75 * wmax + 0.25 * npk
+                        if band:
+                            bspk = 0.75 * found + 0.25 * bspk
+                            bnpk = 0.75 * found + 0.25 * bnpk
+                    else:
+                        spk = 0.125 * wmax + 0.875 * spk
+                        if band:
+                            bspk = 0.125 * found + 0.875 * bspk
+                    t1 = npk + 0.25 * (spk - npk)
+                    t2 = ratio * t1
+                    if band:
+                        bt1 = bnpk + 0.25 * (bspk - bnpk)
+                        bt2 = ratio * bt1
+                    if add_beat(j, tag):
+                        t1 = 0.5 * t1
+                        t2 = ratio * t1
+                        if band:
+                            bt1 = 0.5 * bt1
+                            bt2 = ratio * bt1
                     inserted_at = j
 
         if accept_current:
-            for lv, peak in zip(levels, peaks):
-                lv.signal(peak)
-            add_beat(i, VIA_THRESHOLD1)
+            spk = 0.125 * peak + 0.875 * spk
+            t1 = npk + 0.25 * (spk - npk)
+            t2 = ratio * t1
+            if band:
+                bspk = 0.125 * band_peak + 0.875 * bspk
+                bt1 = bnpk + 0.25 * (bspk - bnpk)
+                bt2 = ratio * bt1
+            if add_beat(i, VIA_THRESHOLD1):
+                t1 = 0.5 * t1
+                t2 = ratio * t1
+                if band:
+                    bt1 = 0.5 * bt1
+                    bt2 = ratio * bt1
         elif is_twave or inserted_at != i:
             rejected.append((i, REJECT_TWAVE if is_twave else REJECT_BELOW))
-            for lv, peak in zip(levels, peaks):
-                lv.noise(peak)
+            npk = 0.125 * peak + 0.875 * npk
+            t1 = npk + 0.25 * (spk - npk)
+            t2 = ratio * t1
+            if band:
+                bnpk = 0.125 * band_peak + 0.875 * bnpk
+                bt1 = bnpk + 0.25 * (bspk - bnpk)
+                bt2 = ratio * bt1
 
         if trace is not None:
-            trace.append((i, *[replace(lv) for lv in levels]))
+            entry = (i, ThresholdState(spk, npk, t1, t2, ratio))
+            if band:
+                entry += (ThresholdState(bspk, bnpk, bt1, bt2, ratio),)
+            trace.append(entry)
 
     return DetectionResult(r_peaks=np.asarray(beat_idx, dtype=np.int64),
                            provenance=provenance, rejected=rejected)
@@ -471,8 +516,8 @@ _PTPP_POLICY = _Policy(
     twave_rr_mean_frac=0.5,
     halve_band=(0.0, math.inf),
     searchback_tag=VIA_SEARCHBACK,
-    searchback_bar=ThresholdState.threshold3,
-    insert_rule=ThresholdState.fast,
+    threshold3_bar=True,
+    fast_insert=True,
 )
 
 

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -697,6 +698,18 @@ def mitbih_record_paths(name: str = "100"):
         if hea.exists() and hea.with_suffix(".dat").exists():
             return hea
     return None
+
+
+def traced_peak(run, x) -> int:
+    """Peak bytes ``run(x)`` allocates beyond what is live when it starts."""
+    run(x[:3600])  # first-call caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(x)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def rng(seed: int) -> np.random.Generator:

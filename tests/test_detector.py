@@ -8,7 +8,6 @@ branch fires in a controlled, verifiable way.
 
 import math
 import sys
-import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -23,7 +22,7 @@ from ptpp.detector import (REJECT_BELOW, REJECT_TWAVE, VIA_SEARCHBACK,
                            VIA_SPIKE_RECOVERY, VIA_THRESHOLD1, _window_argmax)
 
 from helpers import (band_peak_reference, decide_reference, localize_reference,
-                     thinned_maxima_reference)
+                     thinned_maxima_reference, traced_peak)
 
 FS = 100.0  # scenario rate: 231 ms -> 23 samples, 360 ms -> 36, 70 ms -> 7
 
@@ -285,7 +284,7 @@ class TestFindCandidates:
         # The maxima's positions and amplitudes, one round's masks and index
         # lists, or the finish's order; none of them outlives its use.
         x = make()
-        peak = _traced_peak(lambda s: ptpp.find_candidates(s, 360.0), x)
+        peak = traced_peak(lambda s: ptpp.find_candidates(s, 360.0), x)
         assert peak <= peak_per_byte * x.nbytes
 
 
@@ -1115,18 +1114,6 @@ class TestBandAmplitude:
         assert band[420] == expected
 
 
-def _traced_peak(run, x):
-    """Peak bytes ``run(x)`` allocates beyond what is live when it starts."""
-    run(x[:3600])  # first-call caches
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run(x)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestRunDetectorMemory:
     @pytest.fixture(scope="class")
     def x(self):
@@ -1136,14 +1123,14 @@ class TestRunDetectorMemory:
     @pytest.mark.parametrize("detector", ptpp.DETECTORS)
     def test_peak_within_three_and_a_quarter_records(self, detector, x):
         # Three stage arrays at once: the band-passed signal, the working
-        # stage and the next one (the derivative's temporary, a convolution
-        # output); no full-length padded copy, no stage outliving its reader.
-        peak = _traced_peak(lambda s: ptpp.run_detector(detector, s, 360.0),
+        # stage and the next one (a convolution output); no full-length
+        # padded copy, no stage outliving its reader.
+        peak = traced_peak(lambda s: ptpp.run_detector(detector, s, 360.0),
                             x)
         assert peak <= 3.25 * x.nbytes
 
     def test_pipeline_with_every_stage_within_five_and_a_quarter_records(
             self, x):
         # The default keeps all five stages for ``stages``; nothing more.
-        peak = _traced_peak(lambda s: ptpp.run_pipeline(s, 360.0), x)
+        peak = traced_peak(lambda s: ptpp.run_pipeline(s, 360.0), x)
         assert peak <= 5.25 * x.nbytes

@@ -21,7 +21,7 @@ from ptpp.pipeline import (FLATTOP_A0, FLATTOP_A1, FLATTOP_A2, FLATTOP_A3,
                            _sos_group_delay)
 
 from helpers import (causal_convolve_reference, derivative_reference,
-                     sos_group_delay_reference)
+                     sos_group_delay_reference, traced_peak)
 
 FS = 360.0
 
@@ -310,6 +310,14 @@ class TestDerivative:
         with pytest.raises(ptpp.InputTooShortError):
             ptpp.derivative(np.zeros(4), FS)
 
+    def test_traced_peak(self):
+        # The output and one block-long temporary (128 KiB): 1.08x on this
+        # 10-min record, against 2x for a record-long temporary.
+        record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=600.0, seed=3))
+        x = record.channels[0].samples
+        assert traced_peak(lambda s: ptpp.derivative(s, FS), x) \
+            <= 1.15 * x.nbytes
+
     @hypothesis.given(x=finite_signals)
     def test_doubling_is_exact(self, x):
         np.testing.assert_array_equal(ptpp.derivative(2.0 * x, FS),
@@ -352,6 +360,17 @@ class TestDerivativeReference:
         for fs in DERIVATIVE_RATES:
             assert (ptpp.derivative(x, fs).tobytes()
                     == derivative_reference(x, fs).tobytes())
+
+    @pytest.mark.parametrize("block", [1, 2, 7, ptpp.pipeline._DERIVATIVE_BLOCK])
+    def test_block_edges(self, block):
+        # One full block, one and a sample, and k blocks short of one sample
+        # (the last block one short); every interior sample is in a block.
+        x = np.random.default_rng(block).standard_normal(5 * block + 3)
+        with mock.patch.object(ptpp.pipeline, "_DERIVATIVE_BLOCK", block):
+            for n in (block + 4, block + 5, 2 * block + 3, 5 * block + 3):
+                for fs in DERIVATIVE_RATES:
+                    assert (ptpp.derivative(x[:n], fs).tobytes()
+                            == derivative_reference(x[:n], fs).tobytes()), n
 
 
 class TestSquare:
