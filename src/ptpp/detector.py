@@ -348,11 +348,18 @@ def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
     return out
 
 
-def _blocks(*columns: np.ndarray):
-    """Yield the rows of equal-length ``columns`` as tuples of Python
-    numbers, converting _BLOCK_ITEMS of each at a time."""
-    for s in range(0, len(columns[0]), _BLOCK_ITEMS):
-        yield from zip(*[c[s:s + _BLOCK_ITEMS].tolist() for c in columns])
+def _blocks(candidates: np.ndarray, integ: np.ndarray,
+            band: np.ndarray | None):
+    """Yield each candidate with its integrated amplitude and its band
+    amplitude (the integrated one again without a band) as Python numbers,
+    _BLOCK_ITEMS at a time. The integrated amplitudes are gathered a block
+    at a time too: a whole-record column of them raised holter-2h's peak
+    RSS."""
+    for s in range(0, len(candidates), _BLOCK_ITEMS):
+        c = candidates[s:s + _BLOCK_ITEMS]
+        peaks = integ[c].tolist()
+        yield from zip(c.tolist(), peaks, peaks if band is None
+                       else band[s:s + _BLOCK_ITEMS].tolist())
 
 
 def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
@@ -370,12 +377,14 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     delays = stages.stage_delays_samples  # filt lags integ by every later stage
     align = sum(delays.values()) - delays.get("bandpass", 0)
     ratio = p.t2_ratio
-    lead = init_thresholds(integ, fs, cfg, ratio)
-    spk, npk, t1, t2 = lead.spk, lead.npk, lead.threshold1, lead.threshold2
-    peaks = integ[candidates]
-    band = p.band_channel
-    band_peaks = peaks  # read along, and unused, without a band channel
-    if band:  # max |band-passed| within ±75 ms of candidates - align
+    lv = init_thresholds(integ, fs, cfg, ratio)
+    spk, npk, t1, t2 = lv.spk, lv.npk, lv.threshold1, lv.threshold2
+    # Without a band channel the loop runs a twin of the integrated one: it
+    # reads the same peaks and finds, so it passes and adapts exactly as the
+    # integrated channel does. Only a band channel is traced.
+    bspk, bnpk, bt1, bt2 = spk, npk, t1, t2
+    band_peaks = None
+    if p.band_channel:  # max |band-passed| ±75 ms around candidates - align
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
         abs_filt = np.abs(filt)
         lv = init_thresholds(abs_filt, fs, cfg, ratio)
@@ -408,11 +417,11 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
             rr_mean = (j - beat_idx[-1 - n]) / n
         return halve
 
-    for k, (i, peak, band_peak) in enumerate(_blocks(candidates, peaks,
+    for k, (i, peak, band_peak) in enumerate(_blocks(candidates, integ,
                                                      band_peaks)):
         rr = (i - beat_idx[-1]) if beat_idx else None
 
-        passes_amp = peak > t1 and (not band or band_peak > bt1)
+        passes_amp = peak > t1 and band_peak > bt1
         is_twave = False
         if passes_amp and rr is not None and (
                 rr < tw_rr or (rr_mean is not None
@@ -432,7 +441,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                 wmax = float(integ[j])
                 bar = t2
                 if p.threshold3_bar:  # halfway to the surrounding amplitude
-                    around = integ[beat_idx[-3:] + candidates[k:k + 3].tolist()]
+                    around = integ[beat_idx[-3:]
+                                   + candidates[k:k + 3].tolist()]
                     meansb = float(np.add.reduce(around)) / len(around)
                     if meansb < 0:
                         raise ProcessingError(
@@ -450,59 +460,44 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                     if wmax < 0:
                         raise ProcessingError(
                             f"peak amplitude must be >= 0, got {wmax}")
-                    if band:  # the windowed max every candidate gets
+                    found = wmax
+                    if p.band_channel:  # the windowed max every candidate gets
                         found = float(abs_filt[_window_argmax(
                             abs_filt, half_win, [j - align])[0]])
                     if p.fast_insert:
-                        spk = 0.75 * wmax + 0.25 * spk
-                        npk = 0.75 * wmax + 0.25 * npk
-                        if band:
-                            bspk = 0.75 * found + 0.25 * bspk
-                            bnpk = 0.75 * found + 0.25 * bnpk
+                        spk, bspk = (0.75 * wmax + 0.25 * spk,
+                                     0.75 * found + 0.25 * bspk)
+                        npk, bnpk = (0.75 * wmax + 0.25 * npk,
+                                     0.75 * found + 0.25 * bnpk)
                     else:
-                        spk = 0.125 * wmax + 0.875 * spk
-                        if band:
-                            bspk = 0.125 * found + 0.875 * bspk
-                    t1 = npk + 0.25 * (spk - npk)
-                    t2 = ratio * t1
-                    if band:
-                        bt1 = bnpk + 0.25 * (bspk - bnpk)
-                        bt2 = ratio * bt1
+                        spk, bspk = (0.125 * wmax + 0.875 * spk,
+                                     0.125 * found + 0.875 * bspk)
+                    t1, bt1 = (npk + 0.25 * (spk - npk),
+                               bnpk + 0.25 * (bspk - bnpk))
+                    t2, bt2 = ratio * t1, ratio * bt1
                     if add_beat(j, tag):
-                        t1 = 0.5 * t1
-                        t2 = ratio * t1
-                        if band:
-                            bt1 = 0.5 * bt1
-                            bt2 = ratio * bt1
+                        t1, bt1 = 0.5 * t1, 0.5 * bt1
+                        t2, bt2 = ratio * t1, ratio * bt1
                     inserted_at = j
 
         if accept_current:
-            spk = 0.125 * peak + 0.875 * spk
-            t1 = npk + 0.25 * (spk - npk)
-            t2 = ratio * t1
-            if band:
-                bspk = 0.125 * band_peak + 0.875 * bspk
-                bt1 = bnpk + 0.25 * (bspk - bnpk)
-                bt2 = ratio * bt1
+            spk, bspk = (0.125 * peak + 0.875 * spk,
+                         0.125 * band_peak + 0.875 * bspk)
+            t1, bt1 = npk + 0.25 * (spk - npk), bnpk + 0.25 * (bspk - bnpk)
+            t2, bt2 = ratio * t1, ratio * bt1
             if add_beat(i, VIA_THRESHOLD1):
-                t1 = 0.5 * t1
-                t2 = ratio * t1
-                if band:
-                    bt1 = 0.5 * bt1
-                    bt2 = ratio * bt1
+                t1, bt1 = 0.5 * t1, 0.5 * bt1
+                t2, bt2 = ratio * t1, ratio * bt1
         elif is_twave or inserted_at != i:
             rejected.append((i, REJECT_TWAVE if is_twave else REJECT_BELOW))
-            npk = 0.125 * peak + 0.875 * npk
-            t1 = npk + 0.25 * (spk - npk)
-            t2 = ratio * t1
-            if band:
-                bnpk = 0.125 * band_peak + 0.875 * bnpk
-                bt1 = bnpk + 0.25 * (bspk - bnpk)
-                bt2 = ratio * bt1
+            npk, bnpk = (0.125 * peak + 0.875 * npk,
+                         0.125 * band_peak + 0.875 * bnpk)
+            t1, bt1 = npk + 0.25 * (spk - npk), bnpk + 0.25 * (bspk - bnpk)
+            t2, bt2 = ratio * t1, ratio * bt1
 
         if trace is not None:
             entry = (i, ThresholdState(spk, npk, t1, t2, ratio))
-            if band:
+            if p.band_channel:
                 entry += (ThresholdState(bspk, bnpk, bt1, bt2, ratio),)
             trace.append(entry)
 
