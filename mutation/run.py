@@ -2,7 +2,9 @@
 
 Usage, from the root of a checkout::
 
-    python mutation/run.py [--jobs 2]
+    python mutation/run.py [--jobs 2]                 # every mutant
+    python mutation/run.py --select detector.py:350-470 --select pipeline.py
+    python mutation/run.py --render                   # run nothing
 
 Each mutant is one small edit to one of ``src/ptpp/detector.py``,
 ``baseline.py`` or ``pipeline.py``:
@@ -19,11 +21,25 @@ Each mutant is one small edit to one of ``src/ptpp/detector.py``,
 
 Every mutant runs in a temporary copy of the checkout, never in ``src/``
 itself, against the fast subset ``FAST_TESTS`` with ``-x``; a mutant that
-survives it is run against the whole Tier-1 suite. The result is written to
-``mutation/SURVIVORS.md``: the kill rate, and for each subset survivor its
-site, the edit and a verdict, which is either the full-suite test that killed
-it or, for a mutant nothing kills, the reason given for it in
-``mutation/verdicts.json`` (keyed by the mutant's ``key``).
+survives it is run against the whole Tier-1 suite.
+
+``--select FILE[:FIRST[-LAST]]`` (repeatable) runs only the mutants whose
+first line lies in the given lines of one of those files, say the lines an
+edit touched. A run without it is a full run. Each run saves its verdicts,
+keyed by the mutant's ``key``: a full run to ``mutation/results/full.json``
+(and drops any partial results), a partial run to
+``mutation/results/partial.json`` (on top of the partial runs before it).
+
+Every run, and ``--render`` without running anything, writes
+``mutation/SURVIVORS.md`` for the mutants of the current sources: a mutant
+takes its verdict from the partial results, else from the full run, else it
+is "not run". The report gives the kill rate over the mutants run and the
+count not run, and for each subset survivor its site, the edit and a verdict, which is either the full-suite test that
+killed it or, for a mutant nothing kills, the reason given for it in
+``mutation/verdicts.json`` (keyed by the mutant's ``key``). A partial run
+must select every line an edit touched: a key outside the selection keeps
+its full-run verdict, and keys number repeated edits within a function, so
+an edit can move a key onto another site of the same function.
 
 Only the standard library is used; pytest, numpy and scipy are needed by the
 tests the mutants run against.
@@ -50,12 +66,23 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+RESULTS = HERE / "results"
 FILES = ("detector.py", "baseline.py", "pipeline.py")
 FAST_TESTS = ["tests/test_detector.py", "tests/test_baseline.py",
               "tests/test_pipeline.py", "tests/test_goldens.py",
               "tests/test_acceptance.py"]
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-          "--hypothesis-seed=0"]
+          "--hypothesis-seed=0", "-p", "_no_shrink"]
+# A pytest plugin each copy holds: hypothesis reports the first failing
+# example it finds instead of shrinking it. A mutant is killed or not all
+# the same, but shrinking a failure of the decision oracle took minutes.
+NO_SHRINK_PLUGIN = """import hypothesis
+
+hypothesis.settings.register_profile("no_shrink", phases=[
+    hypothesis.Phase.explicit, hypothesis.Phase.reuse,
+    hypothesis.Phase.generate])
+hypothesis.settings.load_profile("no_shrink")
+"""
 TIMEOUT_S = 300
 MEMORY_LIMIT_BYTES = 4 << 30  # address space of one test run
 
@@ -261,7 +288,8 @@ def _one_line(text: str) -> str:
 def _pytest(copy: Path, tests: list[str]) -> tuple[bool, str]:
     """(passed, first failing test id or "" / "timeout")."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(copy / "src"),
+                                                      str(copy)]),
                PYTHONDONTWRITEBYTECODE="1", OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     try:
@@ -301,36 +329,116 @@ def _copy_checkout(dest: Path) -> Path:
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns(
             "__pycache__", ".hypothesis", ".pytest_cache"))
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    (dest / "_no_shrink.py").write_text(NO_SHRINK_PLUGIN)
     return dest
 
 
-def _report(results: list[tuple[Mutant, str]],
-            verdicts: dict[str, str]) -> str:
-    total = len(results)
-    killed = sum(v != "survived" for _, v in results)
-    by_op = Counter(m.op for m, _ in results)
+def selection(text: str) -> tuple[str, int, float]:
+    """``FILE[:FIRST[-LAST]]`` as (file, first line, last line)."""
+    file, colon, lines = text.partition(":")
+    if file not in FILES:
+        raise argparse.ArgumentTypeError(
+            f"{file!r} is not one of {', '.join(FILES)}")
+    if not colon:
+        return file, 1, math.inf
+    first, dash, last = lines.partition("-")
+    try:
+        first_line = int(first)
+        last_line = int(last) if dash else first_line
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{lines!r} is not FIRST or FIRST-LAST") from None
+    if not 1 <= first_line <= last_line:
+        raise argparse.ArgumentTypeError(
+            f"{lines!r} is not a line range 1 <= FIRST <= LAST")
+    return file, first_line, last_line
+
+
+def is_selected(mutant: Mutant, chosen) -> bool:
+    return any(mutant.file == file and first <= mutant.line <= last
+               for file, first, last in chosen)
+
+
+def _selection_text(file: str, first: int, last: float) -> str:
+    if last == math.inf:
+        return file
+    return f"{file}:{first}" + (f"-{last}" if last != first else "")
+
+
+def load_results(path: Path) -> dict:
+    """Saved results: ``{"select": [...] or None, "verdicts": {key: ...}}``;
+    none saved reads as no verdicts."""
+    if not path.exists():
+        return {"select": [], "verdicts": {}}
+    return json.loads(path.read_text())
+
+
+def save_results(results_dir: Path, results: list[tuple[Mutant, str]],
+                 chosen) -> None:
+    """Save a full run (``chosen`` empty) or add a partial run to the
+    partial results."""
+    results_dir.mkdir(exist_ok=True)
+    verdicts = {m.key: v for m, v in results}
+    partial = results_dir / "partial.json"
+    if chosen:
+        data = load_results(partial)
+        data["select"] += [_selection_text(*c) for c in chosen]
+        data["verdicts"].update(verdicts)
+    else:
+        partial.unlink(missing_ok=True)
+        partial = results_dir / "full.json"
+        data = {"select": None, "verdicts": verdicts}
+    partial.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
+
+
+def merged(mutants: list[Mutant],
+           results_dir: Path) -> tuple[list[tuple[Mutant, str]], list[str]]:
+    """Each mutant with its partial-run verdict, else its full-run one, else
+    "not run"; and the selections of the partial runs."""
+    partial = load_results(results_dir / "partial.json")
+    verdicts = {**load_results(results_dir / "full.json")["verdicts"],
+                **partial["verdicts"]}
+    return ([(m, verdicts.get(m.key, "not run")) for m in mutants],
+            partial["select"])
+
+
+def _report(results: list[tuple[Mutant, str]], verdicts: dict[str, str],
+            partial_select: list[str] = ()) -> str:
+    ran = [(m, v) for m, v in results if v != "not run"]
+    total = len(ran)
+    killed = sum(v != "survived" for _, v in ran)
+    by_op = Counter(m.op for m, _ in ran)
     lines = [
         "# Surviving mutants",
         "",
         "Written by `python mutation/run.py`; the edits are described in its",
         f"docstring. Files: {', '.join(f'`src/ptpp/{f}`' for f in FILES)}.",
+        "Verdicts come from the runs saved in `mutation/results/`"
+        + ("; the partial runs of "
+           + ", ".join(f"`{s}`" for s in partial_select)
+           + " override a full run's" if partial_select else "") + ".",
         "",
         f"- Mutants: {total} ("
         + ", ".join(f"{op} {n}" for op, n in sorted(by_op.items())) + ").",
         f"- Killed by the fast subset (`-x`): "
-        f"{sum(v.startswith('subset:') for _, v in results)}.",
+        f"{sum(v.startswith('subset:') for _, v in ran)}.",
         f"- Killed only by the full Tier-1 suite: "
-        f"{sum(v.startswith('tier1:') for _, v in results)}.",
+        f"{sum(v.startswith('tier1:') for _, v in ran)}.",
         f"- Survived every test: {total - killed}.",
         f"- Kill rate: {killed}/{total} = {killed / max(total, 1):.1%}.",
+    ]
+    if len(ran) < len(results):
+        lines.append(f"- Not run (in no saved run): "
+                     f"{len(results) - len(ran)}.")
+    lines += [
         "",
-        "Every mutant the fast subset left alive:",
+        "Every mutant run that the fast subset left alive:",
         "",
         "| site | mutant | verdict |",
         "|------|--------|---------|",
     ]
     for m, v in results:
-        if v.startswith("subset:"):
+        if v.startswith("subset:") or v == "not run":
             continue
         if v == "survived":
             verdict = verdicts.get(m.key, "survives; no verdict yet")
@@ -342,30 +450,20 @@ def _report(results: list[tuple[Mutant, str]],
     return "\n".join(lines) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="test runs at once (default 1)")
-    args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    # Set before any thread starts; every test run inherits it.
-    resource.setrlimit(resource.RLIMIT_AS,
-                       (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
-
-    sources = {f: (ROOT / "src" / "ptpp" / f).read_bytes() for f in FILES}
-    mutants = [m for f in FILES for m in generate(sources[f].decode(), f)]
+def _run(mutants: list[Mutant], sources: dict[str, bytes],
+         jobs: int) -> list[tuple[Mutant, str]] | None:
+    """Each mutant with its verdict; None if the unmutated suite fails."""
     with tempfile.TemporaryDirectory(prefix="ptpp-mutation-") as tmp:
         copies: queue.Queue = queue.Queue()
-        for k in range(args.jobs):
+        for k in range(jobs):
             copies.put(_copy_checkout(Path(tmp) / f"copy{k}"))
         passed, killer = _pytest(copies.queue[0], ["tests"])
         if not passed:
             print(f"unmutated suite fails ({killer}); nothing to measure",
                   file=sys.stderr)
-            return 1
+            return None
         results = []
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(jobs) as pool:
             futures = [pool.submit(_run_one, copies, sources, m)
                        for m in mutants]
             for n, future in enumerate(futures, 1):
@@ -373,15 +471,50 @@ def main(argv: list[str] | None = None) -> int:
                 results.append((mutant, verdict))
                 print(f"[{n}/{len(mutants)}] {verdict:<10.40} {mutant.key}",
                       flush=True)
+    return results
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="test runs at once (default 1)")
+    parser.add_argument("--select", type=selection, action="append",
+                        default=[], metavar="FILE[:FIRST[-LAST]]",
+                        help="run only the mutants starting in these lines "
+                             "(repeatable)")
+    parser.add_argument("--render", action="store_true",
+                        help="write SURVIVORS.md from the saved results "
+                             "and run nothing")
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.render and args.select:
+        parser.error("--render runs nothing; it takes no --select")
+
+    sources = {f: (ROOT / "src" / "ptpp" / f).read_bytes() for f in FILES}
+    mutants = [m for f in FILES for m in generate(sources[f].decode(), f)]
+    if not args.render:
+        chosen = [m for m in mutants
+                  if not args.select or is_selected(m, args.select)]
+        # Set before any thread starts; every test run inherits it.
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+        results = _run(chosen, sources, args.jobs)
+        if results is None:
+            return 1
+        save_results(RESULTS, results, args.select)
+        survived = sum(v == "survived" for _, v in results)
+        print(f"{len(results) - survived}/{len(results)} killed")
 
     verdicts_path = HERE / "verdicts.json"
     verdicts = (json.loads(verdicts_path.read_text())
                 if verdicts_path.exists() else {})
-    (HERE / "SURVIVORS.md").write_text(_report(results, verdicts))
-    survived = sum(v == "survived" for _, v in results)
-    print(f"{len(results) - survived}/{len(results)} killed; "
-          f"report in {HERE / 'SURVIVORS.md'}")
+    results, partial_select = merged(mutants, RESULTS)
+    (HERE / "SURVIVORS.md").write_text(_report(results, verdicts,
+                                               partial_select))
+    print(f"report in {HERE / 'SURVIVORS.md'}")
     return 0
+
 
 if __name__ == "__main__":
     sys.exit(main())

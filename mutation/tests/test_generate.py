@@ -1,10 +1,16 @@
 """The mutant generator on a toy source: which edits it makes, and that each
-one replaces exactly its own span."""
+one replaces exactly its own span; and the bookkeeping around a run: picking
+mutants by line, saving and merging verdicts, rendering the report."""
 
+import argparse
 import ast
 import importlib.util
+import math
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 # Loaded by file path under its own name: perfbench/ holds a run.py too,
 # and a bare ``import run`` takes whichever directory is first on sys.path.
@@ -96,3 +102,97 @@ def test_offsets_count_bytes_not_characters():
             if m.after == "(2)"]
     assert m.apply('y = "µs" if a else 1\n'.encode()).decode() \
         == 'y = "µs" if a else (2)\n'
+
+
+def test_selection_parses_files_and_line_ranges():
+    assert run.selection("detector.py") == ("detector.py", 1, math.inf)
+    assert run.selection("detector.py:12") == ("detector.py", 12, 12)
+    assert run.selection("pipeline.py:3-40") == ("pipeline.py", 3, 40)
+    for bad in ("toy.py", "detector.py:", "detector.py:a-3",
+                "detector.py:0-3", "detector.py:9-3", "detector.py:3-"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            run.selection(bad)
+
+
+def test_selection_picks_mutants_by_first_line():
+    mutants = run.generate(TOY, "toy.py")
+    chosen = [m for m in mutants if run.is_selected(m, [("toy.py", 10, 11)])]
+    assert {m.line for m in chosen} == {10, 11}
+    assert len(chosen) == 8
+    # The if/elif statement starting at line 9 spans 10-12 but is not chosen.
+    assert not [m for m in mutants
+                if run.is_selected(m, [("other.py", 1, math.inf)])]
+
+
+def _fake(mutants, verdict):
+    return [(m, verdict) for m in mutants]
+
+
+def test_partial_runs_override_the_full_run(tmp_path):
+    mutants = run.generate(TOY, "toy.py")
+    run.save_results(tmp_path, _fake(mutants[:20], "subset:t"), [])
+    run.save_results(tmp_path, _fake(mutants[5:8], "survived"),
+                     [("toy.py", 10, 10)])
+    run.save_results(tmp_path, _fake(mutants[7:9], "tier1:u"),
+                     [("toy.py", 11, 11)])
+    results, select = run.merged(mutants, tmp_path)
+    assert select == ["toy.py:10", "toy.py:11"]
+    assert [v for _, v in results] == (
+        ["subset:t"] * 5 + ["survived"] * 2 + ["tier1:u"] * 2
+        + ["subset:t"] * 11 + ["not run"] * (len(mutants) - 20))
+    # A full run replaces everything saved before it.
+    run.save_results(tmp_path, _fake(mutants, "survived"), [])
+    assert not (tmp_path / "partial.json").exists()
+    results, select = run.merged(mutants, tmp_path)
+    assert select == [] and {v for _, v in results} == {"survived"}
+
+
+def test_keys_of_removed_mutants_are_dropped(tmp_path):
+    old = run.generate(TOY, "toy.py")
+    run.save_results(tmp_path, _fake(old, "survived"), [])
+    new = run.generate(TOY.replace("    while x > 0.5:\n        x -= 1\n", ""),
+                       "toy.py")
+    results, _ = run.merged(new, tmp_path)
+    assert [m.key for m, _ in results] == [m.key for m in new]
+    assert len(new) < len(old)
+
+
+def test_report_counts_and_lists(tmp_path):
+    mutants = run.generate(TOY, "toy.py")
+    results = ([(mutants[0], "subset:t"), (mutants[1], "tier1:tests/a.py::b"),
+                (mutants[2], "survived"), (mutants[3], "survived"),
+                (mutants[4], "not run")])
+    report = run._report(results, {mutants[2].key: "equivalent: why"},
+                         ["toy.py:4-7"])
+    assert "the partial runs of `toy.py:4-7` override a full run's." in report
+    assert "- Mutants: 4 (bool 1, delete 1, plus1 2)." in report
+    assert "- Kill rate: 2/4 = 50.0%." in report
+    assert "- Not run (in no saved run): 1." in report
+    rows = [line for line in report.splitlines() if line.startswith("| `")]
+    assert [row.rsplit("|", 2)[1].strip() for row in rows] == [
+        "killed by `tests/a.py::b`", "equivalent: why",
+        "survives; no verdict yet"]
+
+
+def test_render_runs_nothing(tmp_path, monkeypatch):
+    mutants = [m for f in run.FILES for m in run.generate(
+        (run.ROOT / "src" / "ptpp" / f).read_text(), f)]
+    run.save_results(tmp_path, _fake(mutants, "subset:t"), [])
+    monkeypatch.setattr(run, "RESULTS", tmp_path)
+    monkeypatch.setattr(run, "HERE", tmp_path)
+    monkeypatch.setattr(run, "_run", None)  # calling it would fail
+    assert run.main(["--render"]) == 0
+    report = (tmp_path / "SURVIVORS.md").read_text()
+    assert f"- Kill rate: {len(mutants)}/{len(mutants)} = 100.0%." in report
+    with pytest.raises(SystemExit):
+        run.main(["--render", "--select", "detector.py"])
+
+
+def test_copies_load_a_profile_without_shrinking(tmp_path):
+    copy = run._copy_checkout(tmp_path)
+    probe = ("import _no_shrink, hypothesis; "
+             "print(sorted(p.name for p in hypothesis.settings.default.phases))")
+    out = subprocess.run([sys.executable, "-c", probe], cwd=copy,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["['explicit',", "'generate',", "'reuse']"]
+    assert run.PYTEST[-2:] == ["-p", "_no_shrink"]

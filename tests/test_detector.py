@@ -494,6 +494,22 @@ class TestDecisionLoop:
         np.testing.assert_array_equal(result.r_peaks, [125])
         assert result.rejected == [(25, REJECT_BELOW)]
 
+    @pytest.mark.parametrize("integ_height,band_height",
+                             [(1.0 / 3.0, 0.5), (0.5, 1.0 / 3.0)])
+    def test_either_channel_at_threshold1_is_noise(self, integ_height,
+                                                   band_height):
+        # One channel clears its threshold1 (1/3 on both) and the other
+        # only equals it: the amplitude test asks both to exceed theirs
+        integ = np.zeros(300)
+        filt = np.zeros(300)
+        add_triangle(integ, 25, integ_height)
+        add_triangle(filt, 25, band_height)
+        for x in (integ, filt):
+            add_triangle(x, 125, 1.0)
+        result = ptpp.detect(make_stages(integ, filt), FS)
+        np.testing.assert_array_equal(result.r_peaks, [125])
+        assert result.rejected == [(25, REJECT_BELOW)]
+
     def test_twave_rejected_by_slope(self):
         # nine beats at RR=2 s build rr_mean=200 samples; a broad hump 90
         # samples after the last beat is early (90 < 0.5*200) and flat
@@ -784,7 +800,7 @@ class TestInheritedRefusals:
     """A search-back window can lie wholly below zero and still clear a bar
     below zero; the find then fails the threshold rules' ``peak >= 0``
     check, and the run is refused rather than fed a negative peak. The
-    same record with the window at +0.001 shows which branch finds it.
+    same record with the window at +0.001 or 0 shows which branch finds it.
 
     The other refusal, threshold3's ``meansb >= 0``, cannot be reached
     through the loop: meansb averages the integrated amplitude at beats and
@@ -808,8 +824,10 @@ class TestInheritedRefusals:
     @pytest.mark.parametrize("case", CASES)
     def test_find_below_zero_is_refused(self, case):
         apices, height, n, run, tag = self.CASES[case]
-        found = run(_below_zero_between_beats(apices, height, n, 0.001), FS)
-        assert tag in found.provenance
+        for floor in (0.001, 0.0):  # a find of exactly 0 is no refusal
+            found = run(_below_zero_between_beats(apices, height, n, floor),
+                        FS)
+            assert tag in found.provenance
         with pytest.raises(ptpp.ProcessingError,
                            match=r"^peak amplitude must be >= 0, got -0\.001$"):
             run(_below_zero_between_beats(apices, height, n, -0.001), FS)
