@@ -25,10 +25,12 @@ survives it is run against the whole Tier-1 suite.
 
 ``--select FILE[:FIRST[-LAST]]`` (repeatable) runs only the mutants whose
 first line lies in the given lines of one of those files, say the lines an
-edit touched. A run without it is a full run. Each run saves its verdicts,
-keyed by the mutant's ``key``: a full run to ``mutation/results/full.json``
-(and drops any partial results), a partial run to
-``mutation/results/partial.json`` (on top of the partial runs before it).
+edit touched. A run without it is a full run. Each mutant's verdict, keyed
+by the mutant's ``key``, goes to ``mutation/results/partial.json`` (on top
+of the partial runs before it) as soon as the mutant is decided, so a run
+stopped part-way keeps what it decided; a stopped full run reads as a
+partial run of whole files. A full run that ends moves its verdicts to
+``mutation/results/full.json`` and drops the partial results.
 
 Every run, and ``--render`` without running anything, writes
 ``mutation/SURVIVORS.md`` for the mutants of the current sources: a mutant
@@ -59,6 +61,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -325,7 +328,8 @@ def _run_one(copies: queue.Queue, sources: dict[str, bytes],
 
 
 def _copy_checkout(dest: Path) -> Path:
-    for name in ("src", "tests"):
+    # perfbench/: a Tier-1 test reads the benchmark's tracer and workloads.
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=shutil.ignore_patterns(
             "__pycache__", ".hypothesis", ".pytest_cache"))
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
@@ -373,22 +377,31 @@ def load_results(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
+def _write_results(path: Path, data: dict) -> None:
+    # Whole or not at all: a run stopped while writing keeps the last file.
+    tmp = path.with_suffix(".tmp")
+    tmp.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
+    os.replace(tmp, path)
+
+
 def save_results(results_dir: Path, results: list[tuple[Mutant, str]],
                  chosen) -> None:
-    """Save a full run (``chosen`` empty) or add a partial run to the
-    partial results."""
+    """Save a full run (``chosen`` empty) or add verdicts of a partial run,
+    and the selections ``chosen``, to the partial results."""
     results_dir.mkdir(exist_ok=True)
     verdicts = {m.key: v for m, v in results}
     partial = results_dir / "partial.json"
     if chosen:
         data = load_results(partial)
-        data["select"] += [_selection_text(*c) for c in chosen]
+        for text in (_selection_text(*c) for c in chosen):
+            if text not in data["select"]:
+                data["select"].append(text)
         data["verdicts"].update(verdicts)
+        _write_results(partial, data)
     else:
+        _write_results(results_dir / "full.json",
+                       {"select": None, "verdicts": verdicts})
         partial.unlink(missing_ok=True)
-        partial = results_dir / "full.json"
-        data = {"select": None, "verdicts": verdicts}
-    partial.write_text(json.dumps(data, indent=0, sort_keys=True) + "\n")
 
 
 def merged(mutants: list[Mutant],
@@ -450,9 +463,12 @@ def _report(results: list[tuple[Mutant, str]], verdicts: dict[str, str],
     return "\n".join(lines) + "\n"
 
 
-def _run(mutants: list[Mutant], sources: dict[str, bytes],
-         jobs: int) -> list[tuple[Mutant, str]] | None:
-    """Each mutant with its verdict; None if the unmutated suite fails."""
+def _run(mutants: list[Mutant], sources: dict[str, bytes], jobs: int,
+         decided) -> list[tuple[Mutant, str]] | None:
+    """Each mutant with its verdict; None if the unmutated suite fails.
+    ``decided(mutant, verdict)`` is called, one call at a time, as each
+    mutant is decided; once the run is stopped (an exception, say
+    KeyboardInterrupt), no more, and mutants not yet started never run."""
     with tempfile.TemporaryDirectory(prefix="ptpp-mutation-") as tmp:
         copies: queue.Queue = queue.Queue()
         for k in range(jobs):
@@ -462,15 +478,36 @@ def _run(mutants: list[Mutant], sources: dict[str, bytes],
             print(f"unmutated suite fails ({killer}); nothing to measure",
                   file=sys.stderr)
             return None
+        lock, stop = threading.Lock(), threading.Event()
+
+        def run_one(mutant: Mutant) -> tuple[Mutant, str] | None:
+            if stop.is_set():
+                return None  # the run is stopping; main reads no more
+            try:
+                result = _run_one(copies, sources, mutant)
+            except BaseException:
+                stop.set()
+                raise
+            with lock:
+                if not stop.is_set():  # a stop may have cut its tests short
+                    decided(*result)
+            return result
+
         results = []
-        with ThreadPoolExecutor(jobs) as pool:
-            futures = [pool.submit(_run_one, copies, sources, m)
-                       for m in mutants]
+        pool = ThreadPoolExecutor(jobs)
+        try:
+            futures = [pool.submit(run_one, m) for m in mutants]
             for n, future in enumerate(futures, 1):
                 mutant, verdict = future.result()
                 results.append((mutant, verdict))
                 print(f"[{n}/{len(mutants)}] {verdict:<10.40} {mutant.key}",
                       flush=True)
+        except BaseException:
+            with lock:
+                stop.set()
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -499,10 +536,13 @@ def main(argv: list[str] | None = None) -> int:
         # Set before any thread starts; every test run inherits it.
         resource.setrlimit(resource.RLIMIT_AS,
                            (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
-        results = _run(chosen, sources, args.jobs)
+        whole = [(f, 1, math.inf) for f in FILES]
+        results = _run(chosen, sources, args.jobs, lambda m, v: save_results(
+            RESULTS, [(m, v)], args.select or whole))
         if results is None:
             return 1
-        save_results(RESULTS, results, args.select)
+        if not args.select:
+            save_results(RESULTS, results, [])
         survived = sum(v == "survived" for _, v in results)
         print(f"{len(results) - survived}/{len(results)} killed")
 

@@ -188,6 +188,38 @@ def test_render_runs_nothing(tmp_path, monkeypatch):
         run.main(["--render", "--select", "detector.py"])
 
 
+@pytest.mark.parametrize("select", [[], ["--select", "pipeline.py"]],
+                         ids=["full", "partial"])
+def test_a_stopped_run_keeps_what_it_decided(tmp_path, monkeypatch, select):
+    # The run is stopped while its fourth mutant is tested; the three
+    # decided before are saved, and --render merges them.
+    decided = 3
+    started = []
+
+    def fake_run_one(copies, sources, mutant):
+        started.append(mutant)
+        if len(started) > decided:
+            raise KeyboardInterrupt
+        return mutant, "subset:tests/t.py::x"
+
+    monkeypatch.setattr(run, "RESULTS", tmp_path / "results")
+    monkeypatch.setattr(run, "HERE", tmp_path)
+    monkeypatch.setattr(run, "_pytest", lambda copy, tests: (True, ""))
+    monkeypatch.setattr(run, "_run_one", fake_run_one)
+    monkeypatch.setattr(run.resource, "setrlimit", lambda *a: None)
+    with pytest.raises(KeyboardInterrupt):
+        run.main(select)
+    assert len(started) == decided + 1  # nothing runs after the stop
+    saved = run.load_results(tmp_path / "results" / "partial.json")
+    assert saved["verdicts"] == {m.key: "subset:tests/t.py::x"
+                                 for m in started[:decided]}
+    assert saved["select"] == (["pipeline.py"] if select else list(run.FILES))
+    assert not (tmp_path / "results" / "full.json").exists()
+    assert run.main(["--render"]) == 0
+    report = (tmp_path / "SURVIVORS.md").read_text()
+    assert f"- Kill rate: {decided}/{decided} = 100.0%." in report
+
+
 def test_copies_load_a_profile_without_shrinking(tmp_path):
     copy = run._copy_checkout(tmp_path)
     probe = ("import _no_shrink, hypothesis; "

@@ -331,20 +331,22 @@ class _Policy:
     fast_insert: bool  # a find adapts by Rule 2, else as a Rule 1 signal
 
 
-def _window_argmax(absx: np.ndarray, w: int, centres) -> np.ndarray:
-    """Index of the first maximum of absx within ±w of each (clipped) centre.
-    Windows cut at a record end repeat the end sample, which wins only there."""
-    last = len(absx) - 1
+def _window_argmax(x: np.ndarray, w: int, centres) -> np.ndarray:
+    """Index of the first maximum of |x| within ±w of each (clipped) centre.
+    Windows cut at a record end repeat the end sample, which wins only there.
+    |x| is taken per gathered block, never for the whole record."""
+    last = len(x) - 1
     centres = np.clip(centres, 0, last)
     offsets = np.arange(-w, w + 1)
-    block = max(1, _LOCALIZE_BLOCK_BYTES // (absx.itemsize + offsets.itemsize)
-                // len(offsets))
+    block = max(1, _LOCALIZE_BLOCK_BYTES  # float64 |x| and an int64 index
+                // (8 + offsets.itemsize) // len(offsets))
     out = np.empty(len(centres), dtype=np.int64)
     for i in range(0, len(centres), block):
         idx = centres[i:i + block, None] + offsets
         np.clip(idx, 0, last, out=idx)
+        windows = np.abs(x[idx], dtype=np.float64)
         out[i:i + block] = idx[np.arange(len(idx)),
-                               np.argmax(absx[idx], axis=1)]
+                               np.argmax(windows, axis=1)]
     return out
 
 
@@ -386,11 +388,11 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
     band_peaks = None
     if p.band_channel:  # max |band-passed| ±75 ms around candidates - align
         half_win = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
-        abs_filt = np.abs(filt)
-        lv = init_thresholds(abs_filt, fs, cfg, ratio)
+        n_init = ms_to_samples(cfg.init_window_s * 1000.0, fs)
+        lv = init_thresholds(np.abs(filt[:n_init]), fs, cfg, ratio)
         bspk, bnpk, bt1, bt2 = lv.spk, lv.npk, lv.threshold1, lv.threshold2
-        band_peaks = abs_filt[_window_argmax(abs_filt, half_win,
-                                             candidates - align)]
+        band_peaks = np.abs(filt[_window_argmax(filt, half_win,
+                                                candidates - align)])
     min_sep = ms_to_samples(cfg.min_peak_separation_ms, fs)
     tw_rr = ms_to_samples(cfg.twave_window_ms, fs)
     blank = ms_to_samples(cfg.post_peak_blank_ms, fs)
@@ -462,8 +464,8 @@ def _decide(stages: StageOutputs, fs: float, candidates: np.ndarray,
                             f"peak amplitude must be >= 0, got {wmax}")
                     found = wmax
                     if p.band_channel:  # the windowed max every candidate gets
-                        found = float(abs_filt[_window_argmax(
-                            abs_filt, half_win, [j - align])[0]])
+                        found = abs(float(filt[_window_argmax(
+                            filt, half_win, [j - align])[0]]))
                     if p.fast_insert:
                         spk, bspk = (0.75 * wmax + 0.25 * spk,
                                      0.75 * found + 0.25 * bspk)
@@ -563,7 +565,7 @@ def localize_rpeaks(raw: np.ndarray, detections: DetectionResult,
     total_delay = sum(stage_delays.values())
     w = ms_to_samples(LOCALIZE_HALF_WINDOW_S * 1000.0, fs)
     # Sorted centres with equal windows snap to non-decreasing apexes.
-    mapped = _window_argmax(np.abs(raw, dtype=np.float64), w, np.asarray(
+    mapped = _window_argmax(np.asarray(raw), w, np.asarray(
         detections.r_peaks, dtype=np.int64) - total_delay)
     kept = np.flatnonzero(np.diff(mapped, prepend=-1))
     if sources is not None:

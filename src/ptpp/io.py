@@ -477,6 +477,9 @@ def load_wfdb_record(header_path: str | Path) -> Record:
         raise UnsupportedFormatError(f"{header_path}: signal format {fmt} is "
                                      f"not supported (only 212 and 16)")
     counts = _decode_counts(data, header, fmt)
+    # Format 212 decodes into an int32 array of its own, so the bytes can go
+    # now; format 16's counts are a view of them and keep them alive.
+    del data
     code = INVALID_SAMPLE[fmt]
     for i, ch in enumerate(header.channels):
         gap = counts[:, i] == code

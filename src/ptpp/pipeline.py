@@ -35,6 +35,9 @@ MAX_FILTER_ORDER = 64
 # Samples of the derivative computed at once. Its one temporary then stays
 # in cache (128 KiB) instead of being a second record-length array.
 _DERIVATIVE_BLOCK = 1 << 14
+# Outputs of a trailing convolution computed at once; each block's result is
+# the only temporary, so a convolution can write over its own input.
+_CONVOLVE_BLOCK = 1 << 14
 
 
 def ms_to_samples(ms: float, fs: float, minimum: int = 1) -> int | float:
@@ -183,9 +186,18 @@ def derivative(samples: np.ndarray, fs: float) -> np.ndarray:
     return y
 
 
-def square(samples: np.ndarray) -> np.ndarray:
+def _in_place(x: np.ndarray, out: np.ndarray | None) -> np.ndarray | None:
+    # A stage writes a new array (None) or over its own float64 input.
+    if out is not None and out is not x:
+        raise ConfigError("out= must be None or the stage's own float64 "
+                          "input array")
+    return out
+
+
+def square(samples: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Each sample squared; ``out=samples`` squares in place."""
     x = np.asarray(samples, dtype=np.float64)
-    return x * x
+    return np.multiply(x, x, out=_in_place(x, out))
 
 
 def flattop_kernel(width_samples: int) -> np.ndarray:
@@ -204,30 +216,44 @@ def flattop_kernel(width_samples: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _causal_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _causal_convolve(x: np.ndarray, kernel: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     # Trailing convolution with the left edge replicated, so y[n] depends on
-    # x[n - k] only and the output keeps the input length. Only the first
-    # k - 1 outputs reach into the replicated edge: they are redone from a
-    # padded head of 2k - 2 samples rather than from a padded full copy.
+    # x[n - k + 1:n + 1] only and the output keeps the input length. Blocks
+    # run from the end back, each reading inputs below the ones already
+    # written, so out may be x itself. Only the first k - 1 outputs reach
+    # into the replicated edge: they come from a padded head of 2k - 2
+    # samples, saved before x is overwritten. Each output is the same dot
+    # product over the same k samples as in one whole-record convolution.
     k = len(kernel)
-    y = np.convolve(x, kernel, mode="full")[:len(x)]
+    if out is None:
+        out = np.empty(len(x))
+    head = np.concatenate([np.full(k - 1, x[0]), x[:k - 1]])
+    for stop in range(len(x), k - 1, -_CONVOLVE_BLOCK):
+        start = max(stop - _CONVOLVE_BLOCK, k - 1)
+        out[start:stop] = np.convolve(x[start - k + 1:stop], kernel,
+                                      mode="valid")
     if k > 1:
-        head = np.concatenate([np.full(k - 1, x[0]), x[:k - 1]])
-        y[:k - 1] = np.convolve(head, kernel, mode="valid")
-    return y
+        out[:k - 1] = np.convolve(head, kernel, mode="valid")
+    return out
 
 
-def smooth(samples: np.ndarray, width_samples: int) -> np.ndarray:
-    """Trailing flat-top smoothing over the last ``width_samples`` samples."""
+def smooth(samples: np.ndarray, width_samples: int, *,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Trailing flat-top smoothing over the last ``width_samples`` samples;
+    ``out=samples`` smooths in place."""
     x = np.asarray(samples, dtype=np.float64)
     if width_samples > len(x):  # before the kernel is built
         raise InputTooShortError(
             f"kernel ({width_samples}) longer than signal ({len(x)})")
-    return _causal_convolve(x, flattop_kernel(width_samples))
+    return _causal_convolve(x, flattop_kernel(width_samples),
+                            _in_place(x, out))
 
 
-def mwi(samples: np.ndarray, window_samples: int) -> np.ndarray:
-    """Trailing moving-window mean over the last ``window_samples`` samples."""
+def mwi(samples: np.ndarray, window_samples: int, *,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Trailing moving-window mean over the last ``window_samples`` samples;
+    ``out=samples`` integrates in place."""
     x = np.asarray(samples, dtype=np.float64)
     if window_samples < 1:
         raise ConfigError(f"MWI window must be >= 1 sample, got {window_samples}")
@@ -235,7 +261,7 @@ def mwi(samples: np.ndarray, window_samples: int) -> np.ndarray:
         raise InputTooShortError(
             f"MWI window ({window_samples}) longer than signal ({len(x)})")
     kernel = np.full(window_samples, 1.0 / window_samples)
-    return _causal_convolve(x, kernel)
+    return _causal_convolve(x, kernel, _in_place(x, out))
 
 
 def run_pipeline(samples: np.ndarray, fs: float,
@@ -247,9 +273,10 @@ def run_pipeline(samples: np.ndarray, fs: float,
     measured at 10 Hz, the derivative stencil is symmetric (zero), and each
     trailing window of length N contributes (N - 1) // 2.
 
-    With ``intermediates=False`` the derivative, squared and smoothed
-    signals are each let go as soon as the next stage exists and come back
-    as empty arrays, so the run holds three record-lengths at its peak
+    With ``intermediates=False`` the derivative writes one working array
+    that squaring, smoothing and the MWI then overwrite in place; the
+    derivative, squared and smoothed signals come back as empty arrays, so
+    the run holds two record-lengths at its peak (band-passed and working)
     rather than all five stages.
     """
     if config is None:
@@ -257,25 +284,24 @@ def run_pipeline(samples: np.ndarray, fs: float,
 
     filtered, sos = _bandpass(samples, fs, config)
     bp_delay = int(_sos_group_delay(sos, fs, GROUP_DELAY_PROBE_HZ) + 0.5)
-    released = np.empty(0)
 
     derived = derivative(filtered, fs)
-    squared = square(derived)
-    if not intermediates:
-        derived = released
+    # Each later stage writes over the one before it (out=) unless every
+    # stage is kept. The stages are called by their module names, which
+    # perfbench's tracer wraps.
+    work = None if intermediates else derived
+    squared = square(derived, out=work)
 
     smoothed, width = squared, 1  # the bypass: a one-sample window
     if config.smooth_enabled:
         width = ms_to_samples(config.smooth_window_ms, fs,
                               minimum=MIN_SMOOTH_SAMPLES)
-        smoothed = smooth(squared, width)
-    if not intermediates:
-        squared = released
+        smoothed = smooth(squared, width, out=work)
 
     mwi_width = ms_to_samples(config.mwi_window_ms, fs, minimum=1)
-    integrated = mwi(smoothed, mwi_width)
+    integrated = mwi(smoothed, mwi_width, out=work)
     if not intermediates:
-        smoothed = released
+        derived = squared = smoothed = np.empty(0)
 
     delays = {
         "bandpass": bp_delay,

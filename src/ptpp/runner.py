@@ -38,11 +38,11 @@ def run_detector(detector: str, samples: np.ndarray, fs: float,
                  pt_cfg: PtConfig | None = None) -> DetectorRun:
     """Run one detector end to end on a single channel.
 
-    Each stage array is let go as soon as nothing needs it: the pipeline
-    runs with ``intermediates=False``, so the derivative, squared and
-    smoothed signals die as the next stage is built; the decision layer
-    reads only the band-passed and integrated signals, localization only
-    the delays. At its peak a run holds about three record-lengths.
+    The pipeline runs with ``intermediates=False``: the derivative,
+    squared, smoothed and integrated signals share one working array. The
+    decision layer reads only the band-passed and integrated signals, and
+    takes |band-passed| per window, as localization takes |raw|. At its
+    peak a run holds about two record-lengths.
     :func:`ptpp.run_pipeline` with its default returns every stage.
     """
     default_cfg = default_pipeline_config(detector)  # ConfigError if unknown

@@ -254,11 +254,11 @@ class TestFindCandidates:
     @hypothesis.given(
         gaps=st.lists(st.integers(1, 6), max_size=40),
         levels=st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf]),
-                        min_size=40, max_size=40),
+                        min_size=41, max_size=41),
         min_sep=st.integers(1, 12))
     # The outer maxima lie exactly the spacing apart, so they do not face
     # each other, and each outranks the middle one: both win.
-    @hypothesis.example(gaps=[1, 1], levels=[2.0, 1.0, 2.0] + [0.0] * 37,
+    @hypothesis.example(gaps=[1, 1], levels=[2.0, 1.0, 2.0] + [0.0] * 38,
                         min_sep=2)
     def test_round_winners_outrank_every_near_maximum(self, gaps, levels,
                                                       min_sep):
@@ -1138,14 +1138,39 @@ class TestRunDetectorMemory:
         record, _ = ptpp.synth_ecg(ptpp.SynthSpec(duration_s=600.0, seed=3))
         return record.channels[0].samples
 
+    @pytest.fixture(scope="class")
+    def lean(self, x):
+        # Stage outputs and detections of the record and of the head that
+        # traced_peak runs first, by length.
+        stages = {len(s): ptpp.run_pipeline(s, 360.0, intermediates=False)
+                  for s in (x[:3600], x)}
+        return stages, {n: ptpp.detect(st, 360.0) for n, st in stages.items()}
+
     @pytest.mark.parametrize("detector", ptpp.DETECTORS)
-    def test_peak_within_three_and_a_quarter_records(self, detector, x):
-        # Three stage arrays at once: the band-passed signal, the working
-        # stage and the next one (a convolution output); no full-length
-        # padded copy, no stage outliving its reader.
+    def test_peak_within_two_and_a_half_records(self, detector, x):
+        # Two stage arrays at once: the band-passed signal and the one
+        # working array every later stage writes over (2.25x here, the
+        # quarter being the decision's candidate masks); no full-length
+        # padded copy, no whole-record |x|.
         peak = traced_peak(lambda s: ptpp.run_detector(detector, s, 360.0),
                             x)
-        assert peak <= 3.25 * x.nbytes
+        assert peak <= 2.5 * x.nbytes
+
+    def test_decision_builds_no_record_length_array(self, x, lean):
+        # |band-passed| is taken per window block: 0.25x here, the two
+        # boolean masks of find_candidates, against 1.1x with it whole.
+        stages, _ = lean
+        peak = traced_peak(lambda s: ptpp.detect(stages[len(s)], 360.0), x)
+        assert peak <= 0.5 * x.nbytes
+
+    def test_localization_builds_no_record_length_array(self, x, lean):
+        # |raw| is taken per window block: 0.10x here, against 1.08x with
+        # it whole.
+        stages, detections = lean
+        peak = traced_peak(lambda s: ptpp.localize_rpeaks(
+            s, detections[len(s)], stages[len(s)].stage_delays_samples,
+            360.0), x)
+        assert peak <= 0.25 * x.nbytes
 
     def test_pipeline_with_every_stage_within_five_and_a_quarter_records(
             self, x):

@@ -905,6 +905,25 @@ class TestDecoderMemory:
         assert output == 8 * 2 * n
         assert growth <= 1.6 * output
 
+    def test_load_frees_the_byte_stream(self, tmp_path):
+        # Two leads of 10 min in format 212: once decoded, the file's bytes
+        # (1.5 per sample) go before the leads are built, so the peak is the
+        # int32 counts and the float64 leads, 1.04x them here against 1.17x
+        # with the bytes alive; the rest is the last lead's gap mask.
+        n = 360 * 600
+        codes = np.random.default_rng(4).integers(-2047, 2048, size=2 * n)
+        lines = [f"r.dat 212 200 12 0 0 0 0 lead{i}" for i in range(2)]
+        (tmp_path / "r.hea").write_text(make_header("r", 360, n, lines))
+        (tmp_path / "r.dat").write_bytes(encode212(codes))
+        ptpp.load_wfdb_record(tmp_path / "r.hea")  # first-call caches
+        tracemalloc.start()
+        try:
+            ptpp.load_wfdb_record(tmp_path / "r.hea")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * (4 + 8) * 2 * n
+
 
 class TestLoadWfdbRecord:
     def _write_record(self, tmp_path, codes, n_channels=2, name="rec"):

@@ -509,6 +509,55 @@ class TestCausalConvolveReference:
             assert (_causal_convolve(x, kernel).tobytes()
                     == causal_convolve_reference(x, kernel).tobytes())
 
+    @pytest.mark.parametrize("kernel", [ptpp.flattop_kernel(22),
+                                        np.full(54, 1.0 / 54)],
+                             ids=["smooth", "mwi"])
+    @pytest.mark.parametrize("block", ["1", "2", "7", "k-1", "k", "k+1"])
+    def test_blocks_new_and_in_place(self, kernel, block):
+        # Every block size, on records of one kernel, one kernel and a
+        # sample, a block either side and a prime length: a new output and
+        # one written over its own input both equal the reference.
+        k = len(kernel)
+        size = {"k-1": k - 1, "k": k, "k+1": k + 1}.get(block) or int(block)
+        x = np.random.default_rng(size).normal(size=1009) ** 2
+        with mock.patch.object(ptpp.pipeline, "_CONVOLVE_BLOCK", size):
+            for n in sorted({k, k + 1, size - 1, size + 1, 1009} - set(
+                    range(k))):
+                want = causal_convolve_reference(x[:n], kernel).tobytes()
+                assert _causal_convolve(x[:n], kernel).tobytes() == want, n
+                y = x[:n].copy()
+                assert _causal_convolve(y, kernel, y) is y
+                assert y.tobytes() == want, n
+
+
+class TestInPlace:
+    """``out=`` on the stages run_pipeline chains: None or the input
+    itself, nothing else."""
+
+    STAGES = [(ptpp.square, ()), (ptpp.smooth, (22,)), (ptpp.mwi, (54,))]
+
+    @pytest.mark.parametrize("stage,args", STAGES,
+                             ids=["square", "smooth", "mwi"])
+    def test_in_place_equals_a_new_array(self, stage, args):
+        x = np.random.default_rng(8).normal(size=3 * 997)
+        want = stage(x, *args).tobytes()
+        y = x.copy()
+        assert stage(y, *args, out=y) is y
+        assert y.tobytes() == want
+        assert stage(x, *args, out=None).tobytes() == want
+
+    @pytest.mark.parametrize("stage,args", STAGES,
+                             ids=["square", "smooth", "mwi"])
+    def test_foreign_out_refused(self, stage, args):
+        x = np.random.default_rng(9).normal(size=200)
+        ints = np.arange(200)
+        for samples, out in ((x, np.empty(200)), (x, x[:]), (x, x.copy()),
+                             (ints, ints)):  # an int input is converted
+            with pytest.raises(ptpp.ConfigError, match="out="):
+                stage(samples, *args, out=out)
+        with pytest.raises(TypeError):
+            stage(x, *args, x)  # out= is keyword-only
+
 
 class TestRunPipeline:
     def test_zero_in_zero_out_everywhere(self):
@@ -585,13 +634,25 @@ class TestRunPipeline:
                              ids=["smooth", "bypass"])
     @pytest.mark.parametrize("detector", ptpp.DETECTORS)
     def test_without_intermediates_same_chain(self, detector, smooth_enabled):
+        # Longer than two convolution blocks. The lean chain writes its
+        # stages over one array and the full one keeps each; both integrate
+        # to the stages chained over full-length padded copies.
         cfg = dataclasses.replace(ptpp.default_pipeline_config(detector),
                                   smooth_enabled=smooth_enabled)
-        x = np.random.default_rng(7).normal(size=3000)
+        x = np.random.default_rng(7).normal(
+            size=2 * ptpp.pipeline._CONVOLVE_BLOCK + 11)
         full = ptpp.run_pipeline(x, FS, cfg)
         lean = ptpp.run_pipeline(x, FS, cfg, intermediates=False)
         assert lean.filtered.tobytes() == full.filtered.tobytes()
         assert lean.integrated.tobytes() == full.integrated.tobytes()
+        y = ptpp.derivative(full.filtered, FS)
+        y = y * y
+        if smooth_enabled:
+            y = causal_convolve_reference(y, ptpp.flattop_kernel(
+                ptpp.ms_to_samples(cfg.smooth_window_ms, FS)))
+        window = ptpp.ms_to_samples(cfg.mwi_window_ms, FS)
+        want = causal_convolve_reference(y, np.full(window, 1.0 / window))
+        assert full.integrated.tobytes() == want.tobytes()
         assert (list(lean.stage_delays_samples.items())
                 == list(full.stage_delays_samples.items()))
         for stage in (lean.derived, lean.squared, lean.smoothed):
